@@ -67,7 +67,7 @@ def enumerate_gems(
             g = ColoredGraph.from_blocks(blocks)
             cand = blocks[0] + blocks[1] + blocks[2]
             if not beats_entries(g, cand):
-                code = _serialize_entries(cand, p, numeric=p > MAX_LETTER_PAIRS)
+                code = _serialize_entries(cand, numeric=p > MAX_LETTER_PAIRS)
                 yield CensusEntry(code, order)
             return
         i, c = divmod(t, 3)

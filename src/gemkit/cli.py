@@ -183,6 +183,9 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    if args.max_results is not None and args.max_results < 0:
+        print("--max-results must not be negative", file=sys.stderr)
+        return USAGE_ERROR
     if args.order > census_mod.ENUMERATION_CAP:
         print(
             "order %d exceeds the enumeration cap %d"

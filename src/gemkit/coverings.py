@@ -12,6 +12,7 @@ face-to-face are unbranched on the interior and on all vertex links.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 from math import gcd
 from typing import Mapping, Optional, Sequence
@@ -220,13 +221,17 @@ def find_admissible_cyclic_coverings(
     normal form; solutions are enumerated in lexicographic order of the
     solver's free coordinates and filtered for connectivity (their values
     must generate Z_n).  Returns at most ``limit`` assignments (all of them
-    when ``limit`` is None); an empty list means no admissible connected
-    covering of this degree exists.
+    when ``limit`` is None); with a positive limit, an empty list means no
+    admissible connected covering of this degree exists.
     """
     if n < 1:
         raise ValueError("the covering degree must be at least 1")
+    if limit is not None and limit < 0:
+        raise ValueError("the solution limit must not be negative")
     if not is_connected(base):
         raise NotConnectedError("voltage solving requires a connected base")
+    if limit == 0:
+        return []
     rows, free = cycle_relation_rows(base)
     m = len(free)
     factors, rank, V = snf_with_column_transform(rows)
@@ -249,23 +254,12 @@ def find_admissible_cyclic_coverings(
     return out
 
 
+@dataclass(frozen=True)
 class ComplexityBounds:
     """Two-sided bounds on the graph complexity of a derived manifold."""
 
-    __slots__ = ("lower", "upper")
-
-    def __init__(self, lower: int, upper: int):
-        self.lower = lower
-        self.upper = upper
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ComplexityBounds)
-            and (self.lower, self.upper) == (other.lower, other.upper)
-        )
-
-    def __repr__(self):
-        return "ComplexityBounds(lower=%d, upper=%d)" % (self.lower, self.upper)
+    lower: int
+    upper: int
 
 
 def complexity_bounds_report(

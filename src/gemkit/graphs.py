@@ -298,7 +298,7 @@ def _decode_entries(text: str) -> list[int]:
     return entries
 
 
-def _serialize_entries(entries: Sequence[int], p: int, numeric: bool) -> str:
+def _serialize_entries(entries: Sequence[int], numeric: bool) -> str:
     if numeric:
         return ",".join(str(j) for j in entries)
     return "".join(chr(ord("A") + j - 1) for j in entries)
@@ -414,7 +414,7 @@ def emit_code(
         raise BadLengthError(
             "letter codes address at most %d vertex pairs" % MAX_LETTER_PAIRS
         )
-    return _serialize_entries(entries, p, numeric)
+    return _serialize_entries(entries, numeric)
 
 
 # ---------------------------------------------------------------------------
@@ -422,67 +422,67 @@ def emit_code(
 # ---------------------------------------------------------------------------
 
 
-def _traversal_entries(invs, start: int, p: int) -> list[int]:
-    """Code entries of the breadth-first relabeling rooted at ``start``.
+def _least_traversal(g: ColoredGraph, ceiling: list[int], first: bool):
+    """The least traversal entry list sorting strictly below ``ceiling``, or None.
 
-    Negative labels are handed out in discovery order while scanning the
-    root pair first, then each labeled pair's color-1, color-2, color-3
-    neighbors.  The result depends only on the colored graph and ``start``,
-    never on the input vertex numbering, which is what makes the minimum
-    over all starts and color permutations a canonical form.
+    A traversal relabels breadth-first from one start vertex under one color
+    permutation.  Its block-1 entries come out one per step, so it is dropped
+    once that prefix passes the ceiling; if it ends below, it becomes the
+    ceiling (with ``first`` it is returned at once, unfinished).
     """
-    inv0, inv1, inv2, inv3 = invs
-    pos_label = [0] * (2 * p)
-    neg_vertex = [0] * (p + 1)
-    neg_vertex[1] = start
-    pos_label[inv0[start]] = 1
-    out = [0] * (3 * p)
-    count = 1
-    p2 = 2 * p
-    for i in range(1, p + 1):
-        u = neg_vertex[i]
-        base = i - 1
-        for off, invc in ((0, inv1), (p, inv2), (p2, inv3)):
-            w = invc[u]
-            j = pos_label[w]
-            if not j:
-                count += 1
-                j = count
-                pos_label[w] = j
-                neg_vertex[j] = inv0[w]
-            out[base + off] = j
-    return out
-
-
-def _candidate_entry_lists(g: ColoredGraph):
-    """Yield the traversal entries for every (color permutation, start)."""
     p = g.order // 2
+    best = None
     for sigma in permutations(COLORS):
-        invs = tuple(g.inv[c] for c in sigma)
-        for start in range(g.order):
-            yield _traversal_entries(invs, start, p)
+        inv0, inv1, inv2, inv3 = (g.inv[c] for c in sigma)
+        rest = ((p, inv2), (2 * p, inv3))
+        for start in range(2 * p):
+            pos_label = [0] * (2 * p)
+            pos_label[inv0[start]] = 1
+            neg_vertex = [0, start] + [0] * (p - 1)
+            out = [0] * (3 * p)
+            count, below = 1, False
+            for i in range(p):
+                u = neg_vertex[i + 1]
+                w = inv1[u]
+                j = pos_label[w]
+                if not j:
+                    count += 1
+                    j = pos_label[w] = count
+                    neg_vertex[j] = inv0[w]
+                out[i] = j
+                if not below and j != ceiling[i]:
+                    if j > ceiling[i]:
+                        break
+                    if first:
+                        return out
+                    below = True
+                for k, invc in rest:
+                    w = invc[u]
+                    j = pos_label[w]
+                    if not j:
+                        count += 1
+                        j = pos_label[w] = count
+                        neg_vertex[j] = inv0[w]
+                    out[k + i] = j
+            else:
+                if out < ceiling:
+                    if first:
+                        return out
+                    ceiling = best = out
+    return best
 
 
 def canonical_entries(g: ColoredGraph) -> list[int]:
     """The minimal traversal entry list; see :func:`canonical_code`."""
-    best = None
-    for cand in _candidate_entry_lists(g):
-        if best is None or cand < best:
-            best = cand
-    return best
+    # every entry is at most p < order, so any traversal beats this ceiling
+    return _least_traversal(g, [g.order] * (3 * g.order // 2), False)
 
 
 def beats_entries(g: ColoredGraph, ceiling: Sequence[int]) -> bool:
-    """True when some traversal entry list sorts strictly below ``ceiling``.
-
-    Used by the census search to reject non-canonical codes without
-    computing the full minimum.
-    """
-    ceiling = list(ceiling)
-    for cand in _candidate_entry_lists(g):
-        if cand < ceiling:
-            return True
-    return False
+    """Whether any traversal entry list sorts below ``ceiling`` (census test)."""
+    # zeros pad a short ceiling to block 1 without changing the comparison
+    ceiling = list(ceiling) + [0] * (g.order // 2 - len(ceiling))
+    return _least_traversal(g, ceiling, True) is not None
 
 
 def canonical_code(g: ColoredGraph) -> str:
@@ -497,7 +497,7 @@ def canonical_code(g: ColoredGraph) -> str:
     if bipartition(g) is None:
         raise NotBipartiteError("canonical_code requires a bipartite graph")
     p = g.order // 2
-    return _serialize_entries(canonical_entries(g), p, numeric=p > MAX_LETTER_PAIRS)
+    return _serialize_entries(canonical_entries(g), numeric=p > MAX_LETTER_PAIRS)
 
 
 def are_isomorphic(g1: ColoredGraph, g2: ColoredGraph) -> bool:

@@ -206,6 +206,48 @@ def surjective_hom_count(rank, n):
 
 
 # ---------------------------------------------------------------------------
+# slow canonical-form reference (every traversal built in full)
+# ---------------------------------------------------------------------------
+
+
+def full_traversal(g, sigma, start):
+    """Entries of the breadth-first relabeling from ``start`` under ``sigma``.
+
+    Labels ``-1..-p`` go to pairs in discovery order (root pair first, then
+    each labeled pair's color-1, color-2, color-3 neighbors); the result
+    lists, per color 1..3, the positive label met from each negative one.
+    """
+    inv = [g.inv[c] for c in sigma]
+    p = g.order // 2
+    pos_label = {inv[0][start]: 1}
+    neg_vertex = [start]
+    blocks = ([], [], [])
+    for u in neg_vertex:
+        for c in (1, 2, 3):
+            w = inv[c][u]
+            if w not in pos_label:
+                pos_label[w] = len(pos_label) + 1
+                neg_vertex.append(inv[0][w])
+            blocks[c - 1].append(pos_label[w])
+    assert len(neg_vertex) == p
+    return blocks[0] + blocks[1] + blocks[2]
+
+
+def all_traversals(g):
+    """All 24 * order traversal entry lists, one per (sigma, start)."""
+    return [
+        full_traversal(g, sigma, start)
+        for sigma in permutations(range(4))
+        for start in range(g.order)
+    ]
+
+
+def reference_canonical_entries(g):
+    """The minimum over every full traversal: the canonical entry list."""
+    return min(all_traversals(g))
+
+
+# ---------------------------------------------------------------------------
 # naive census oracle
 # ---------------------------------------------------------------------------
 

@@ -169,6 +169,18 @@ class TestCover:
         rc, _, err = run(capsys, ["cover", "--code", "AAA", "--degree", "0"])
         assert rc == 2 and err
 
+    def test_zero_limit_reports_no_solution(self, capsys):
+        rc, out, _ = run(
+            capsys, ["cover", "--code", BASE1, "--degree", "2", "--limit", "0"]
+        )
+        assert rc == 0 and json.loads(out)["solutions"] == []
+
+    def test_negative_limit_is_usage_error(self, capsys):
+        rc, out, err = run(
+            capsys, ["cover", "--code", BASE1, "--degree", "2", "--limit", "-1"]
+        )
+        assert rc == 2 and out == "" and "negative" in err
+
 
 class TestCensus:
     def test_order_four_output(self, capsys):
@@ -197,6 +209,10 @@ class TestCensus:
         rc, out, _ = run(capsys, ["census", "--order", "6", "--max-results", "1"])
         assert rc == 0
         assert len(out.splitlines()) == 4
+
+    def test_negative_max_results_is_usage_error(self, capsys):
+        rc, out, err = run(capsys, ["census", "--order", "6", "--max-results", "-1"])
+        assert rc == 2 and out == "" and "--max-results" in err
 
     def test_large_order_needs_opt_in(self, capsys):
         rc, out, err = run(capsys, ["census", "--order", "12"])

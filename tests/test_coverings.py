@@ -274,6 +274,15 @@ class TestSolver:
         assert find_admissible_cyclic_coverings(base, 2, limit=4) == all_two[:4]
         assert find_admissible_cyclic_coverings(base, 2) == all_two[:1]
 
+    def test_zero_limit_returns_nothing(self):
+        base = parse_code(BASE_CODES[0])
+        assert find_admissible_cyclic_coverings(base, 2, limit=0) == []
+
+    def test_negative_limit_rejected(self):
+        base = parse_code(BASE_CODES[0])
+        with pytest.raises(ValueError):
+            find_admissible_cyclic_coverings(base, 2, limit=-1)
+
     def test_gauge_fixed_on_tree(self):
         base = parse_code(BASE_CODES[0])
         _, _, tree, _ = edge_framework(base)
@@ -297,6 +306,14 @@ class TestComplexityBounds:
         base = parse_code(BASE_CODES[0])
         assert complexity_bounds_report(base, 10, 3) == ComplexityBounds(30, 36)
         assert complexity_bounds_report(base, 10, 1) == ComplexityBounds(10, 12)
+
+    def test_frozen_value_with_stable_repr(self):
+        bounds = ComplexityBounds(10, 12)
+        assert repr(bounds) == "ComplexityBounds(lower=10, upper=12)"
+        assert bounds != ComplexityBounds(10, 13)
+        assert hash(bounds) == hash(ComplexityBounds(10, 12))
+        with pytest.raises(AttributeError):
+            bounds.lower = 11
 
     def test_existence_checked(self):
         with pytest.raises(NoAdmissibleCoveringError):
