@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 import gemkit.census as census_mod
 from gemkit.coverings import (
+    DERIVED_ORDER_CAP,
     derived_graph,
     find_admissible_cyclic_coverings,
     is_admissible,
@@ -153,6 +154,13 @@ def _cmd_cover(args) -> int:
         base = parse_code(args.code)
     except GemError as exc:
         print("bad base code: %s" % exc, file=sys.stderr)
+        return USAGE_ERROR
+    if base.order * args.degree > DERIVED_ORDER_CAP:
+        print(
+            "derived order %d exceeds the cap %d"
+            % (base.order * args.degree, DERIVED_ORDER_CAP),
+            file=sys.stderr,
+        )
         return USAGE_ERROR
     solutions = find_admissible_cyclic_coverings(base, args.degree, limit=args.limit)
     _, tail, _, free = edge_framework(base)

@@ -34,6 +34,9 @@ from gemkit.graphs import (
 from gemkit.homology import snf_with_column_transform
 from gemkit.topology import cycle_relation_rows, edge_framework
 
+#: Largest derived-graph order (base order times degree) ``cover`` builds.
+DERIVED_ORDER_CAP = 4800
+
 
 class VoltageAssignment:
     """Z_n edge voltages on a base graph.

@@ -2,13 +2,16 @@
 abelian groups presented by their invariant factors.
 
 All arithmetic uses Python integers, so there is no overflow at any size.
-Pivots are chosen by minimal absolute value, which keeps intermediate
-entries small on the sparse relation matrices this package produces.
+Unit pivots are eliminated sparsely first; a dense elimination finishes what
+is left, choosing pivots of minimal absolute value to keep entries small.
+:func:`snf_with_column_transform` stays dense: the covering solver's
+matrices have few columns, and its ``V`` fixes the order of solutions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 
@@ -157,9 +160,54 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], in
 
     The factors are positive, each divides the next, and their product for a
     nonsingular square matrix equals the absolute determinant.
+
+    A sparse phase first pivots on units, each taken from a shortest row and
+    the sparsest of that row's columns to keep the Markowitz fill cost low
+    (Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001); row
+    operations clear its column and it counts one factor 1.  What is left,
+    usually nothing for relation matrices, goes to the dense elimination.
     """
-    factors, rank, _ = _snf(mat, want_transform=False)
-    return factors, rank
+    if any(len(r) != len(mat[0]) for r in mat):
+        raise ValueError("matrix rows have unequal lengths")
+    rows = [{j: int(x) for j, x in enumerate(r) if x} for r in mat]
+    cols: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    # a row is pushed again whenever it changes; stale entries are skipped
+    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+    heapify(heap)
+    units = 0
+    while heap:
+        length, p = heappop(heap)
+        prow = rows[p]
+        pivots = [j for j, x in prow.items() if x == 1 or x == -1]
+        if length != len(prow) or not pivots:
+            continue
+        q = min(pivots, key=lambda j: len(cols[j]))
+        unit = prow[q]
+        touched, cols[q] = cols[q], set()
+        touched.discard(p)
+        for i in touched:
+            row = rows[i]
+            f = row[q] * unit
+            for j, x in prow.items():
+                y = row.get(j, 0) - f * x
+                if y:
+                    row[j] = y
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            heappush(heap, (len(row), i))
+        for j in prow:
+            cols[j].discard(p)
+        rows[p] = {}
+        units += 1
+    keep = sorted(j for j, members in cols.items() if members)
+    rest = [[row.get(j, 0) for j in keep] for row in rows if row]
+    factors, rank, _ = _snf(rest, want_transform=False)
+    return (1,) * units + factors, units + rank
 
 
 def snf_with_column_transform(mat: Sequence[Sequence[int]]):

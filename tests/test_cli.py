@@ -181,6 +181,37 @@ class TestCover:
         )
         assert rc == 2 and out == "" and "negative" in err
 
+    def test_cap_admits_every_documented_degree(self):
+        from gemkit.coverings import DERIVED_ORDER_CAP
+
+        # degree 40 over the order-12 covering bases is the largest in use
+        assert DERIVED_ORDER_CAP >= 12 * 40
+
+    def test_derived_order_at_cap_runs(self, capsys, monkeypatch):
+        import gemkit.cli as cli
+
+        monkeypatch.setattr(cli, "DERIVED_ORDER_CAP", 24)
+        rc, out, _ = run(capsys, ["cover", "--code", BASE1, "--degree", "2"])
+        assert rc == 0 and len(json.loads(out)["solutions"]) == 1
+
+    def test_derived_order_above_cap_is_refused_before_solving(
+        self, capsys, monkeypatch
+    ):
+        import gemkit.cli as cli
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("solver or derived graph reached above the cap")
+
+        monkeypatch.setattr(cli, "find_admissible_cyclic_coverings", must_not_run)
+        monkeypatch.setattr(cli, "derived_graph", must_not_run)
+        rc, out, err = run(
+            capsys, ["cover", "--code", BASE1, "--degree", "1000000000"]
+        )
+        assert rc == 2 and out == "" and "exceeds the cap" in err
+        monkeypatch.setattr(cli, "DERIVED_ORDER_CAP", 24)
+        rc, out, err = run(capsys, ["cover", "--code", BASE1, "--degree", "3"])
+        assert rc == 2 and out == "" and "derived order 36 exceeds the cap 24" in err
+
 
 class TestCensus:
     def test_order_four_output(self, capsys):
