@@ -45,16 +45,12 @@ class CensusEntry:
     invariants: Optional[dict] = None
 
 
-def enumerate_gems(
-    order: int, *, bipartite: bool = True, connected: bool = True
-) -> Iterator[CensusEntry]:
+def enumerate_gems(order: int) -> Iterator[CensusEntry]:
     """Yield one entry per color-isomorphism class of the given order.
 
-    Only the connected bipartite census is supported; entries appear in
+    The census is of connected bipartite graphs; entries appear in
     search order (sort by canonical code for the file format).
     """
-    if not bipartite or not connected:
-        raise ValueError("only the connected bipartite census is supported")
     if order < 2 or order % 2:
         raise ValueError("order must be a positive even integer")
     p = order // 2
@@ -106,14 +102,12 @@ def build_census(order: int, *, classify_entries: bool = True) -> list[CensusEnt
     return entries
 
 
-def write_census(
-    fh: IO[str], entries: Iterable[CensusEntry], order: int, opts: str = "bipartite,connected"
-) -> None:
+def write_census(fh: IO[str], entries: Iterable[CensusEntry], order: int) -> None:
     """Write the census file format: hash-prefixed header, then one
     ``canonical<TAB>invariant-JSON`` line per entry."""
     fh.write("#%s\n" % CENSUS_FORMAT)
     fh.write("#order=%d\n" % order)
-    fh.write("#opts=%s\n" % opts)
+    fh.write("#opts=bipartite,connected\n")
     for e in entries:
         fh.write("%s\t%s\n" % (e.canonical, json.dumps(e.invariants, separators=(",", ":"))))
 

@@ -7,8 +7,6 @@ separated by a tab; ``#`` starts a comment line and blank lines are
 skipped.  ``-`` reads the standard input.  Data goes to stdout (JSON lines
 for invariants/cover/census records), diagnostics to stderr.  Exit status:
 0 success, 1 validation or verification failure, 2 usage or input errors.
-The ``GEMKIT_THREADS`` environment variable caps the worker count used for
-per-record processing (default 1, sequential).
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 import gemkit.census as census_mod
@@ -33,23 +30,6 @@ from gemkit.topology import edge_framework, invariant_report
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("GEMKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_records(fn, items):
-    """Apply ``fn`` preserving order, with an optional process pool."""
-    workers = _worker_count()
-    if workers == 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def read_records(path: str) -> list[tuple[Optional[str], str]]:
@@ -77,7 +57,7 @@ def _json_line(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# per-record workers (module level so a process pool can pickle them)
+# per-record functions: each returns (ok, line)
 # ---------------------------------------------------------------------------
 
 
@@ -86,26 +66,27 @@ def _validate_record(record):
     try:
         parse_code(code)
     except GemError as exc:
-        return ("ERROR", name or "-", code, "%s: %s" % (type(exc).__name__, exc))
-    return ("OK", name or "-", code, None)
+        detail = "%s: %s" % (type(exc).__name__, exc)
+        return False, "ERROR\t%s\t%s\t%s" % (name or "-", code, detail)
+    return True, "OK\t%s\t%s" % (name or "-", code)
 
 
 def _invariants_record(record):
     name, code = record
     try:
         g = parse_code(code)
-        return ("ok", _json_line(invariant_report(g, name=name, code=code)))
+        return True, _json_line(invariant_report(g, name=name, code=code))
     except GemError as exc:
-        return ("err", "%s: %s: %s" % (name or code, type(exc).__name__, exc))
+        return False, "%s: %s: %s" % (name or code, type(exc).__name__, exc)
 
 
 def _canon_record(record):
     name, code = record
     try:
         canon = canonical_code(parse_code(code))
-        return ("ok", "%s\t%s" % (name, canon) if name else canon)
+        return True, "%s\t%s" % (name, canon) if name else canon
     except GemError as exc:
-        return ("err", "%s: %s: %s" % (name or code, type(exc).__name__, exc))
+        return False, "%s: %s: %s" % (name or code, type(exc).__name__, exc)
 
 
 # ---------------------------------------------------------------------------
@@ -113,40 +94,27 @@ def _canon_record(record):
 # ---------------------------------------------------------------------------
 
 
+def _run_records(path: str, fn, err) -> int:
+    """Print ``fn(record)`` for each record of ``path`` as it is computed:
+    the line goes to stdout when ``ok``, otherwise to ``err``."""
+    failed = False
+    for record in read_records(path):
+        ok, line = fn(record)
+        print(line, file=sys.stdout if ok else err)
+        failed = failed or not ok
+    return CHECK_FAILED if failed else 0
+
+
 def _cmd_validate(args) -> int:
-    records = read_records(args.file)
-    failures = 0
-    for status, name, code, detail in _map_records(_validate_record, records):
-        if status == "OK":
-            print("OK\t%s\t%s" % (name, code))
-        else:
-            failures += 1
-            print("ERROR\t%s\t%s\t%s" % (name, code, detail))
-    return CHECK_FAILED if failures else 0
+    return _run_records(args.file, _validate_record, sys.stdout)
 
 
 def _cmd_invariants(args) -> int:
-    records = read_records(args.file)
-    failures = 0
-    for status, payload in _map_records(_invariants_record, records):
-        if status == "ok":
-            print(payload)
-        else:
-            failures += 1
-            print(payload, file=sys.stderr)
-    return CHECK_FAILED if failures else 0
+    return _run_records(args.file, _invariants_record, sys.stderr)
 
 
 def _cmd_canon(args) -> int:
-    records = read_records(args.file)
-    failures = 0
-    for status, payload in _map_records(_canon_record, records):
-        if status == "ok":
-            print(payload)
-        else:
-            failures += 1
-            print(payload, file=sys.stderr)
-    return CHECK_FAILED if failures else 0
+    return _run_records(args.file, _canon_record, sys.stderr)
 
 
 def _cmd_cover(args) -> int:

@@ -43,8 +43,8 @@ MAX_LETTER_PAIRS = 26
 class ColoredGraph:
     """A 4-regular multigraph with a proper edge coloring by {0,1,2,3}.
 
-    Instances are immutable once constructed and safe to share across
-    workers; all operations in this package treat them as values.
+    Instances are immutable once constructed; all operations in this
+    package treat them as values.
     """
 
     __slots__ = ("order", "inv")
@@ -326,29 +326,13 @@ def parse_code(text: str) -> ColoredGraph:
     for e in entries:
         if e == 0 or abs(e) > p:
             raise BadCharError("entry %d outside the first %d labels" % (e, p))
-    n = 2 * p
-    maps = [list(range(p, n)) + list(range(p))]
-    for b in range(3):
-        m: list[int] = [-1] * n
-        for i in range(p):
-            e = entries[b * p + i]
-            w = p + e - 1 if e > 0 else -e - 1
-            if w == i:
-                raise NotInvolutionError(
-                    "block %d pairs vertex -%d with itself" % (b + 1, i + 1)
-                )
-            if m[i] not in (-1, w) or m[w] not in (-1, i):
-                raise NotInvolutionError(
-                    "block %d does not define an involution" % (b + 1)
-                )
-            m[i] = w
-            m[w] = i
-        if -1 in m:
-            raise NotInvolutionError(
-                "block %d leaves %d vertices unmatched" % (b + 1, m.count(-1))
-            )
-        maps.append(m)
-    return ColoredGraph(maps)
+    blocks = [entries[b * p : (b + 1) * p] for b in range(3)]
+    for b, block in enumerate(blocks, 1):
+        # a negative entry pairs two negative vertices; a repeat pairs one
+        # positive vertex twice: either way the block is no permutation
+        if min(block) < 0 or len(set(block)) != p:
+            raise NotInvolutionError("block %d does not define an involution" % b)
+    return ColoredGraph.from_blocks(blocks)
 
 
 def identity_labeling(order: int) -> tuple[int, ...]:

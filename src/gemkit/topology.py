@@ -101,7 +101,9 @@ def surface_type(involutions: Sequence[Sequence[int]]) -> SurfaceType:
     if m % 2 or m == 0:
         raise ValueError("3-colored graphs have positive even order")
     for mp in maps:
-        if len(mp) != m or any(mp[mp[v]] != v or mp[v] == v for v in range(m)):
+        if len(mp) != m or any(
+            not 0 <= mp[v] < m or mp[mp[v]] != v or mp[v] == v for v in range(m)
+        ):
             raise ValueError("maps must be fixed-point-free involutions")
     # connectivity and bipartiteness in one sweep
     side = [-1] * m

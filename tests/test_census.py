@@ -67,10 +67,6 @@ class TestEnumerate:
         for bad in (0, -2, 3):
             with pytest.raises(ValueError):
                 list(enumerate_gems(bad))
-        with pytest.raises(ValueError):
-            list(enumerate_gems(4, bipartite=False))
-        with pytest.raises(ValueError):
-            list(enumerate_gems(4, connected=False))
 
 
 class TestBuildCensus:

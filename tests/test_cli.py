@@ -1,4 +1,4 @@
-"""Command line interface: subcommands, formats, exit codes, parallel path."""
+"""Command line interface: subcommands, formats, exit codes, start-up cost."""
 
 import io
 import json
@@ -83,20 +83,13 @@ class TestInvariants:
             "six_regular": False,
         }
 
-    def test_bad_codes_go_to_stderr(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", ["invariants", "canon"])
+    def test_bad_codes_go_to_stderr(self, capsys, monkeypatch, command):
         monkeypatch.setattr(sys, "stdin", io.StringIO("AAA\nAB\n"))
-        rc, out, err = run(capsys, ["invariants", "-"])
+        rc, out, err = run(capsys, [command, "-"])
         assert rc == 1
         assert len(out.splitlines()) == 1
-        assert "BadLengthError" in err
-
-    def test_parallel_output_identical(self, capsys, monkeypatch):
-        rc, sequential, _ = run(capsys, ["invariants", CODES_FILE])
-        assert rc == 0
-        monkeypatch.setenv("GEMKIT_THREADS", "3")
-        rc, parallel, _ = run(capsys, ["invariants", CODES_FILE])
-        assert rc == 0
-        assert parallel == sequential
+        assert err == "AB: BadLengthError: code has 2 entries, not divisible by 3\n"
 
 
 class TestCanon:
@@ -280,15 +273,25 @@ class TestEntryPoints:
         assert exc.value.code == 0
         capsys.readouterr()
 
-    def test_worker_count_fallback(self, monkeypatch):
-        from gemkit.cli import _worker_count
+    def test_start_up_imports_no_process_machinery(self):
+        import subprocess
 
-        monkeypatch.setenv("GEMKIT_THREADS", "nope")
-        assert _worker_count() == 1
-        monkeypatch.setenv("GEMKIT_THREADS", "4")
-        assert _worker_count() == 4
-        monkeypatch.setenv("GEMKIT_THREADS", "-2")
-        assert _worker_count() == 1
+        # every subcommand pays for what importing the CLI pulls in
+        probe = (
+            "import sys, gemkit.cli; gemkit.cli.build_parser(); "
+            "print('multiprocessing' in sys.modules, "
+            "'concurrent.futures' in sys.modules)"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+        )
+        assert proc.stdout == "False False\n"
 
     def test_broken_pipe_exits_quietly(self):
         import subprocess

@@ -101,11 +101,24 @@ class TestParseErrors:
             "aaa",  # pairs -1 with itself
             "-1,1,1",  # same self-pairing, numeric form
             "AABBAB",  # first block repeats A: not a permutation
-            "ABAABA",  # third block repeats A
+            "ABAABA",  # second block repeats A
         ],
     )
     def test_not_involution(self, text):
         with pytest.raises(NotInvolutionError):
+            parse_code(text)
+
+    @pytest.mark.parametrize(
+        "text, block",
+        [
+            ("AABBAB", 1),  # repeated entry
+            ("ABAABA", 2),
+            ("ABbaBA", 2),  # negative entries
+            ("1,2,2,1,-1,2", 3),
+        ],
+    )
+    def test_involution_errors_name_the_block(self, text, block):
+        with pytest.raises(NotInvolutionError, match="^block %d " % block):
             parse_code(text)
 
 

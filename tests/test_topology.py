@@ -145,6 +145,8 @@ class TestSurfaceClassifier:
         with pytest.raises(ValueError):
             surface_type([[0, 1], [1, 0], [1, 0]])  # fixed point
         with pytest.raises(ValueError):
+            surface_type([[5, 0], [1, 0], [1, 0]])  # vertex out of range
+        with pytest.raises(ValueError):
             surface_type([[1, 0, 3, 2], [1, 0, 3, 2], [3, 2, 1, 0][:3] + [2]])
         with pytest.raises(ValueError):
             # two disjoint double edges: disconnected
