@@ -201,7 +201,10 @@ def holonomy(va: VoltageAssignment, cycle: BicoloredCycle) -> int:
     well defined; the derived cycles over this one have length multiplied
     by the order of the holonomy in Z_n.
     """
-    c1, c2 = cycle.colors
+    colors = cycle.colors
+    if len(colors) != 2 or colors[0] == colors[1] or not set(colors) <= set(COLORS):
+        raise ValueError("cycle colors %r are not two distinct colors" % (colors,))
+    c1, c2 = colors
     col = c1
     total = 0
     for u in cycle.vertices:

@@ -170,29 +170,72 @@ class Residue:
 # ---------------------------------------------------------------------------
 
 
+def _components(maps: Sequence[Sequence[int]]):
+    """Components and sides of the graph whose edges are the given involutions.
+
+    Returns ``(comp, side, bipartite)``: each vertex's component index
+    (components numbered by their smallest vertex), its side (the smallest
+    vertex of its component sits on side 0) and, per component, whether
+    every edge joins the two sides.
+    """
+    n = len(maps[0])
+    comp = [-1] * n
+    side = [0] * n
+    bipartite = []
+    for root in range(n):
+        if comp[root] >= 0:
+            continue
+        k = len(bipartite)
+        comp[root] = k
+        even = True
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            s = side[v] ^ 1
+            for m in maps:
+                w = m[v]
+                if comp[w] < 0:
+                    comp[w] = k
+                    side[w] = s
+                    stack.append(w)
+                elif side[w] != s:
+                    even = False
+        bipartite.append(even)
+    return comp, side, bipartite
+
+
+def _cycles(first: Sequence[int], second: Sequence[int]) -> list[tuple[int, ...]]:
+    """The cycles alternating two involutions, as vertex tuples.
+
+    Each cycle starts at its smallest vertex and steps along ``first``
+    first; the cycles come in the order of their starting vertices.
+    """
+    seen = [False] * len(first)
+    out = []
+    for v0 in range(len(first)):
+        if seen[v0]:
+            continue
+        verts = []
+        v = v0
+        while True:
+            w = first[v]
+            verts += (v, w)
+            seen[v] = seen[w] = True
+            v = second[w]
+            if v == v0:
+                break
+        out.append(tuple(verts))
+    return out
+
+
 def bipartition(g: ColoredGraph) -> Optional[tuple[int, ...]]:
     """Two-color the vertices across all edges.
 
     Returns the per-vertex side array (the first vertex reached in every
     component sits on side 0), or ``None`` when some cycle is odd.
     """
-    side = [-1] * g.order
-    for root in range(g.order):
-        if side[root] >= 0:
-            continue
-        side[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            s = side[v] ^ 1
-            for c in COLORS:
-                w = g.inv[c][v]
-                if side[w] < 0:
-                    side[w] = s
-                    stack.append(w)
-                elif side[w] != s:
-                    return None
-    return tuple(side)
+    _, side, bipartite = _components(g.inv)
+    return tuple(side) if all(bipartite) else None
 
 
 def is_bipartite(g: ColoredGraph) -> bool:
@@ -202,19 +245,7 @@ def is_bipartite(g: ColoredGraph) -> bool:
 
 def is_connected(g: ColoredGraph) -> bool:
     """True when every vertex is reachable from vertex 0."""
-    seen = [False] * g.order
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        v = stack.pop()
-        for c in COLORS:
-            w = g.inv[c][v]
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == g.order
+    return len(_components(g.inv)[2]) == 1
 
 
 def bicolored_cycles(g: ColoredGraph, colors: Iterable[int]) -> list[BicoloredCycle]:
@@ -223,51 +254,22 @@ def bicolored_cycles(g: ColoredGraph, colors: Iterable[int]) -> list[BicoloredCy
     Each component of the 2-regular subgraph on the two colors is a cycle of
     even length alternating between them (length 2 means a double edge).
     """
-    c1, c2 = sorted(colors)
-    if c1 == c2 or c1 not in COLORS or c2 not in COLORS:
+    pair = sorted(colors)
+    if len(pair) != 2 or pair[0] == pair[1] or not all(c in COLORS for c in pair):
         raise ValueError("need two distinct colors from %r" % (COLORS,))
-    seen = [False] * g.order
-    cycles = []
-    for v0 in range(g.order):
-        if seen[v0]:
-            continue
-        verts = []
-        v, c = v0, c1
-        while True:
-            verts.append(v)
-            seen[v] = True
-            v = g.inv[c][v]
-            c = c1 + c2 - c
-            if v == v0:
-                break
-        cycles.append(BicoloredCycle((c1, c2), tuple(verts)))
-    return cycles
+    c1, c2 = pair
+    return [BicoloredCycle((c1, c2), vs) for vs in _cycles(g.inv[c1], g.inv[c2])]
 
 
 def residues(g: ColoredGraph, missing_color: int) -> list[Residue]:
     """Connected components after deleting all edges of one color."""
     if missing_color not in COLORS:
         raise ValueError("missing_color must be one of %r" % (COLORS,))
-    keep = [c for c in COLORS if c != missing_color]
-    seen = [False] * g.order
-    out = []
-    for root in range(g.order):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        comp = [root]
-        while stack:
-            v = stack.pop()
-            for c in keep:
-                w = g.inv[c][v]
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comp.sort()
-        out.append(Residue(g, missing_color, tuple(comp)))
-    return out
+    comp, _, bipartite = _components([g.inv[c] for c in COLORS if c != missing_color])
+    groups = [[] for _ in bipartite]
+    for v, k in enumerate(comp):
+        groups[k].append(v)
+    return [Residue(g, missing_color, tuple(vs)) for vs in groups]
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +478,10 @@ def canonical_code(g: ColoredGraph) -> str:
     combined with all 24 color permutations.  Two connected bipartite
     graphs are color-isomorphic exactly when their canonical codes agree.
     """
-    if not is_connected(g):
+    _, _, bipartite = _components(g.inv)
+    if len(bipartite) != 1:
         raise NotConnectedError("canonical_code requires a connected graph")
-    if bipartition(g) is None:
+    if not bipartite[0]:
         raise NotBipartiteError("canonical_code requires a bipartite graph")
     p = g.order // 2
     return _serialize_entries(canonical_entries(g), numeric=p > MAX_LETTER_PAIRS)

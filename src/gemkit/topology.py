@@ -20,6 +20,8 @@ from gemkit.graphs import (
     BicoloredCycle,
     ColoredGraph,
     Residue,
+    _components,
+    _cycles,
     bicolored_cycles,
     bipartition,
     is_connected,
@@ -86,13 +88,32 @@ class BoundaryProfile:
         return len(self.components)
 
 
+def _surfaces(maps: Sequence[Sequence[int]]) -> list[SurfaceType]:
+    """The closed surface encoded by each component of a 3-colored graph.
+
+    A component on m vertices is a surface of m triangles (its vertices)
+    glued along 3m/2 edges (its edges), with one surface vertex per
+    bicolored cycle, so its Euler characteristic is V - E + F =
+    cycles - 3m/2 + m = cycles - m/2, counting its cycles over the three
+    color pairs.  It is orientable exactly when it is bipartite.  Surfaces
+    come in the order of the components' smallest vertices.
+    """
+    comp, _, bipartite = _components(maps)
+    size = [0] * len(bipartite)
+    for k in comp:
+        size[k] += 1
+    euler = [-s // 2 for s in size]
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        for cycle in _cycles(maps[a], maps[b]):
+            euler[comp[cycle[0]]] += 1
+    return [SurfaceType(o, e) for o, e in zip(bipartite, euler)]
+
+
 def surface_type(involutions: Sequence[Sequence[int]]) -> SurfaceType:
     """Classify the closed surface encoded by a connected 3-colored graph.
 
-    With m triangles (graph vertices), 3m/2 edge gluings and one surface
-    vertex per bicolored cycle, the Euler characteristic is F - m/2 where F
-    counts the bicolored cycles over the three color pairs; the surface is
-    orientable exactly when the graph is bipartite.
+    Raises ``ValueError`` unless the three maps are fixed-point-free
+    involutions on one connected vertex set.
     """
     maps = tuple(tuple(int(x) for x in m) for m in involutions)
     if len(maps) != 3:
@@ -105,42 +126,10 @@ def surface_type(involutions: Sequence[Sequence[int]]) -> SurfaceType:
             not 0 <= mp[v] < m or mp[mp[v]] != v or mp[v] == v for v in range(m)
         ):
             raise ValueError("maps must be fixed-point-free involutions")
-    # connectivity and bipartiteness in one sweep
-    side = [-1] * m
-    side[0] = 0
-    stack = [0]
-    count = 1
-    orientable = True
-    while stack:
-        v = stack.pop()
-        s = side[v] ^ 1
-        for mp in maps:
-            w = mp[v]
-            if side[w] < 0:
-                side[w] = s
-                count += 1
-                stack.append(w)
-            elif side[w] != s:
-                orientable = False
-    if count != m:
+    surfaces = _surfaces(maps)
+    if len(surfaces) != 1:
         raise ValueError("the 3-colored graph must be connected")
-    cycles = 0
-    for a in range(3):
-        for b in range(a + 1, 3):
-            seen = [False] * m
-            for v0 in range(m):
-                if seen[v0]:
-                    continue
-                cycles += 1
-                v, mp, other = v0, maps[a], maps[b]
-                while True:
-                    seen[v] = True
-                    v = mp[v]
-                    mp, other = other, mp
-                    if v == v0:
-                        break
-    euler = cycles - m // 2
-    return SurfaceType(orientable, euler)
+    return surfaces[0]
 
 
 def link_surface(residue: Residue) -> SurfaceType:
@@ -155,12 +144,12 @@ def boundary_profile(g: ColoredGraph) -> BoundaryProfile:
     """
     if not is_connected(g):
         raise NotConnectedError("boundary_profile requires a connected graph")
-    comps = []
-    for c in COLORS:
-        for r in residues(g, c):
-            s = link_surface(r)
-            if not s.is_sphere:
-                comps.append(s)
+    comps = [
+        s
+        for c in COLORS
+        for s in _surfaces([g.inv[k] for k in COLORS if k != c])
+        if not s.is_sphere
+    ]
     comps.sort(key=lambda s: (not s.orientable, -s.euler))
     return BoundaryProfile(tuple(comps))
 

@@ -12,6 +12,8 @@ from gemkit.cli import main, read_records
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 CODES_FILE = os.path.join(DATA_DIR, "table1_codes.tsv")
 GOLDEN_INVARIANTS = os.path.join(DATA_DIR, "table1_invariants.jsonl")
+#: Lets a child interpreter import gemkit from this checkout.
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=os.path.join(DATA_DIR, "..", "..", "src"))
 
 BASE1 = "DABCFEFEABDCCDEFAB"
 
@@ -282,14 +284,12 @@ class TestEntryPoints:
             "print('multiprocessing' in sys.modules, "
             "'concurrent.futures' in sys.modules)"
         )
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
             [sys.executable, "-c", probe],
             capture_output=True,
             text=True,
             check=True,
-            env=env,
+            env=SUBPROCESS_ENV,
         )
         assert proc.stdout == "False False\n"
 
@@ -304,6 +304,7 @@ class TestEntryPoints:
             capture_output=True,
             text=True,
             check=False,
+            env=SUBPROCESS_ENV,
         )
         assert proc.returncode == 0  # head's status ends the pipeline
         assert json.loads(proc.stdout)["code"] == "AAA"

@@ -209,6 +209,15 @@ class TestHolonomy:
         with pytest.raises(ValueError):
             holonomy(va, BicoloredCycle((0, 1), (0, 7)))
 
+    @pytest.mark.parametrize("colors", [(0, 5), (1, 1), (-1, 0), (0, 1, 2)])
+    def test_color_pair_checked(self, colors):
+        from gemkit.graphs import BicoloredCycle
+
+        base = parse_code("AAA")
+        va = VoltageAssignment(base, 2, [[0] * 4] * 2)
+        with pytest.raises(ValueError, match="not two distinct colors"):
+            holonomy(va, BicoloredCycle(colors, (0, 1)))
+
     def test_admissibility_iff_trivial_holonomy(self):
         rng = random.Random(59)
         base = parse_code(BASE_CODES[1])

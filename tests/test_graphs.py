@@ -92,6 +92,11 @@ class TestBicoloredCycles:
         with pytest.raises(ValueError):
             bicolored_cycles(g, (0, 5))
 
+    @pytest.mark.parametrize("colors", [(1,), (0, 1, 2)])
+    def test_wrong_color_count_rejected(self, colors):
+        with pytest.raises(ValueError, match="need two distinct colors"):
+            bicolored_cycles(parse_code("AAA"), colors)
+
     def test_order_two_graph_has_double_edges(self):
         g = parse_code("AAA")
         for pair in COLOR_PAIRS:

@@ -15,11 +15,15 @@ from gemkit import (
     SurfaceType,
     TABLE1,
     boundary_profile,
+    derived_graph,
     euler_characteristic,
+    find_admissible_cyclic_coverings,
     first_homology,
     gem_complexity_report,
     invariant_report,
+    is_bipartite,
     is_closed,
+    is_connected,
     is_six_regular,
     link_surface,
     parse_code,
@@ -35,6 +39,9 @@ from helpers import (
     SIX_REGULAR_INVS,
     TABLE_CODES,
     component_count,
+    random_bipartite_graph,
+    random_colored_graph,
+    random_ffi_involution,
     rational_rank,
 )
 
@@ -99,11 +106,12 @@ class TestSurfaceClassifier:
         s = surface_type([[1, 0], [1, 0], [1, 0]])
         assert s.is_sphere and s.orientable
 
-    def test_exhaustive_small_graphs(self):
-        # every connected 3-colored graph on 4 vertices, cross-checked
+    @pytest.mark.parametrize("order", [4, 6])
+    def test_exhaustive_small_graphs(self, order):
+        # every connected 3-colored graph on 4 or 6 vertices, cross-checked
         # against independent component counting and parity propagation
         checked = 0
-        for maps in three_colored_graphs(4):
+        for maps in three_colored_graphs(order):
             m = len(maps[0])
             all_edges = [(v, mp[v]) for mp in maps for v in range(m)]
             if component_count(m, all_edges) != 1:
@@ -183,6 +191,58 @@ class TestLinksAndBoundary:
     def test_requires_connected(self):
         with pytest.raises(NotConnectedError):
             boundary_profile(parse_code("ABABAB"))
+
+    def test_profile_matches_links_of_all_residues(self):
+        # the slow path: every residue reindexed and classified on its own
+        graphs = profile_graphs()
+        assert sum(not is_bipartite(g) for g in graphs) > 100
+        mixed = 0
+        for g in graphs:
+            expected = []
+            for c in COLORS:
+                links = [link_surface(r) for r in residues(g, c)]
+                links = [s for s in links if not s.is_sphere]
+                mixed += len({s.orientable for s in links}) == 2
+                expected += links
+            expected.sort(key=lambda s: (not s.orientable, -s.euler))
+            assert boundary_profile(g).components == tuple(expected)
+        # one missing color with both orientable and non-orientable links
+        assert mixed > 10
+
+
+def profile_graphs():
+    """Connected graphs of every kind: table rows, derived graphs, random ones."""
+    graphs = [parse_code(code) for code in TABLE_CODES]
+    for code in BASE_CODES:
+        base = parse_code(code)
+        for n in (2, 3, 4, 5):
+            (va,) = find_admissible_cyclic_coverings(base, n, limit=1)
+            graphs.append(derived_graph(va)[0])
+    rng = random.Random(71)
+    for order in range(2, 22, 2):
+        for _ in range(20):
+            graphs.append(random_colored_graph(rng, order))
+            graphs.append(random_bipartite_graph(rng, order // 2))
+    for order in range(8, 20, 4):
+        for _ in range(15):
+            g1 = random_colored_graph(rng, order)
+            g2 = random_bipartite_graph(rng, order // 2)
+            graphs.append(side_by_side(rng, g1, g2))
+    return [g for g in graphs if is_connected(g)]
+
+
+def side_by_side(rng, g1, g2):
+    """Colors 1-3 of ``g1`` and ``g2`` side by side, color 0 a random matching.
+
+    Without color 0 the graph falls apart into the residues of both, so one
+    missing color mixes non-orientable links (from ``g1``, usually not
+    bipartite) with orientable ones (from ``g2``).
+    """
+    n = g1.order
+    maps = [random_ffi_involution(rng, n + g2.order)]
+    for c in (1, 2, 3):
+        maps.append(list(g1.inv[c]) + [n + w for w in g2.inv[c]])
+    return ColoredGraph(maps)
 
 
 class TestEdgeFramework:
