@@ -9,6 +9,17 @@ its row is read, and each block stays a partial permutation.  Every
 canonical code is such a traversal code, so finishing with a reject of
 anything that some other start vertex or color permutation beats leaves
 exactly one representative per isomorphism class.
+
+Double-edge rule: a graph with a double edge has a canonical code starting
+with 1 (start on the double edge, with its two colors as 0 and 1).  So once
+the first entry is 2, the search skips every value that would close a double
+edge in the current row: ``i + 1`` at row ``i`` (a double edge with color
+0) and any label the row already used in an earlier block.  Only leaves
+that would be rejected are lost; at order 10 that is 55,484 of 68,641.
+
+Trusted leaf: each leaf's blocks are permutations by construction, so its
+four involutions are built once and wrapped without the constructor's
+re-validation; a test checks each leaf against the validated build.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from gemkit.graphs import (
     canonical_code,
     is_connected,
     parse_code,
+    _block_maps,
     _serialize_entries,
 )
 from gemkit.homology import HomologyGroup
@@ -60,7 +72,7 @@ def enumerate_gems(order: int) -> Iterator[CensusEntry]:
     def extend(t: int, maxseen: int) -> Iterator[CensusEntry]:
         if t == 3 * p:
             blocks = [entries[c::3] for c in range(3)]
-            g = ColoredGraph.from_blocks(blocks)
+            g = ColoredGraph._trusted(_block_maps(blocks))
             cand = blocks[0] + blocks[1] + blocks[2]
             if not beats_entries(g, cand):
                 code = _serialize_entries(cand, numeric=p > MAX_LETTER_PAIRS)
@@ -71,8 +83,11 @@ def enumerate_gems(order: int) -> Iterator[CensusEntry]:
             return  # pair i+1 was never discovered: the graph is disconnected
         top = maxseen + 1 if maxseen < p else p
         block = used[c]
+        # after a first entry 2, label i+1 (color 0's) and the row's earlier
+        # labels would make a double edge, so the leaf would be beaten
+        double = {i + 1, *entries[t - c : t]} if t and entries[0] == 2 else ()
         for j in range(1, top + 1):
-            if block[j]:
+            if block[j] or j in double:
                 continue
             block[j] = True
             entries[t] = j

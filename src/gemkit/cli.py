@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 import gemkit.census as census_mod
@@ -175,14 +176,16 @@ def _cmd_census(args) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
-    entries = census_mod.build_census(args.order)
-    if args.max_results is not None:
-        entries = entries[: args.max_results]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            census_mod.write_census(fh, entries, args.order)
-    else:
-        census_mod.write_census(sys.stdout, entries, args.order)
+    if args.order < 2 or args.order % 2:
+        print("order must be a positive even integer", file=sys.stderr)
+        return USAGE_ERROR
+    # open --out before the search, so a bad path fails at once
+    out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with out as fh:
+        entries = census_mod.build_census(args.order)
+        if args.max_results is not None:
+            entries = entries[: args.max_results]
+        census_mod.write_census(fh, entries, args.order)
     return 0
 
 

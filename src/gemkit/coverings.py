@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
+from operator import index
 from typing import Mapping, Optional, Sequence
 
 from gemkit.errors import (
@@ -49,9 +50,10 @@ class VoltageAssignment:
     __slots__ = ("base", "n", "volt")
 
     def __init__(self, base: ColoredGraph, n: int, volt: Sequence[Sequence[int]]):
+        n = index(n)
         if n < 1:
             raise ValueError("the voltage group Z_n needs n >= 1")
-        table = tuple(tuple(int(x) % n for x in row) for row in volt)
+        table = tuple(tuple(index(x) % n for x in row) for row in volt)
         if len(table) != base.order or any(len(row) != 4 for row in table):
             raise ValueError("volt must be an order x 4 table")
         for v in range(base.order):
@@ -114,7 +116,7 @@ class CoveringMap:
     def __init__(self, total: ColoredGraph, base: ColoredGraph, f: Sequence[int]):
         self.total = total
         self.base = base
-        self.f = tuple(int(x) for x in f)
+        self.f = tuple(index(x) for x in f)
         if len(self.f) != total.order:
             raise ValueError("f must assign a base vertex to every total vertex")
         if any(not 0 <= x < base.order for x in self.f):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 from gemkit.errors import (
@@ -50,7 +51,7 @@ class ColoredGraph:
     __slots__ = ("order", "inv")
 
     def __init__(self, involutions: Sequence[Sequence[int]]):
-        inv = tuple(tuple(int(w) for w in m) for m in involutions)
+        inv = tuple(tuple(index(w) for w in m) for m in involutions)
         if len(inv) != 4:
             raise ValueError("expected 4 involutions, got %d" % len(inv))
         n = len(inv[0])
@@ -72,6 +73,18 @@ class ColoredGraph:
         self.inv = inv
 
     @classmethod
+    def _trusted(cls, inv: tuple[tuple[int, ...], ...]) -> "ColoredGraph":
+        """Wrap four involutions, as a tuple of tuples, without checking them.
+
+        Only for callers that built ``inv`` correctly by construction and
+        prove it in a test against the validating constructor.
+        """
+        g = object.__new__(cls)
+        g.order = len(inv[0])
+        g.inv = inv
+        return g
+
+    @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence[int]]) -> "ColoredGraph":
         """Build the bipartite graph given by three permutation blocks.
 
@@ -79,16 +92,7 @@ class ColoredGraph:
         positive class; color 0 joins ``i`` to ``p+i`` and color ``c`` joins
         ``i`` to ``p + blocks[c-1][i] - 1`` (block values are 1-based).
         """
-        b1, b2, b3 = blocks
-        p = len(b1)
-        maps = [tuple(range(p, 2 * p)) + tuple(range(p))]
-        for block in (b1, b2, b3):
-            m = [-1] * (2 * p)
-            for i, j in enumerate(block):
-                m[i] = p + j - 1
-                m[p + j - 1] = i
-            maps.append(m)
-        return cls(maps)
+        return cls(_block_maps(blocks))
 
     def neighbor(self, v: int, c: int) -> int:
         """The vertex joined to ``v`` by the color-``c`` edge."""
@@ -115,6 +119,20 @@ class ColoredGraph:
 
     def __repr__(self) -> str:
         return "ColoredGraph(order=%d)" % self.order
+
+
+def _block_maps(blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The four involutions of :meth:`ColoredGraph.from_blocks`, unchecked."""
+    b1, b2, b3 = blocks
+    p = len(b1)
+    maps = [tuple(range(p, 2 * p)) + tuple(range(p))]
+    for block in (b1, b2, b3):
+        m = [-1] * (2 * p)
+        for i, j in enumerate(block):
+            m[i] = p + j - 1
+            m[p + j - 1] = i
+        maps.append(tuple(m))
+    return tuple(maps)
 
 
 @dataclass(frozen=True)

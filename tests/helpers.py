@@ -270,3 +270,53 @@ def naive_census(order):
                 if is_connected(g):
                     seen.add(canonical_code(g))
     return seen
+
+
+# ---------------------------------------------------------------------------
+# orbit-counting certificate for the census
+# ---------------------------------------------------------------------------
+
+
+def automorphism_count(g):
+    """Colour automorphisms of a connected graph: the ``(sigma, w0)`` pairs
+    for which the ``are_isomorphic`` search from ``g`` to itself succeeds."""
+    n = g.order
+    count = 0
+    for sigma in permutations(range(4)):
+        target = [g.inv[c] for c in sigma]
+        for w0 in range(n):
+            phi = [-1] * n
+            used = [False] * n
+            phi[0] = w0
+            used[w0] = True
+            stack = [0]
+            ok = True
+            while stack and ok:
+                x = stack.pop()
+                for c in range(4):
+                    y, z = g.inv[c][x], target[c][phi[x]]
+                    if phi[y] < 0:
+                        if used[z]:
+                            ok = False
+                            break
+                        phi[y] = z
+                        used[z] = True
+                        stack.append(y)
+                    elif phi[y] != z:
+                        ok = False
+                        break
+            count += ok
+    return count
+
+
+def census_start_count(g):
+    """Traversal starts ``(sigma, s)`` a census leaf of this class can come
+    from: those with a ``(sigma0, sigma1)`` double edge at ``s`` when the
+    graph has a double edge (the search keeps only their leaves), else all
+    ``24 * order``."""
+    double = sum(
+        g.inv[sigma[0]][s] == g.inv[sigma[1]][s]
+        for sigma in permutations(range(4))
+        for s in range(g.order)
+    )
+    return double or 24 * g.order

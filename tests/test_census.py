@@ -2,11 +2,15 @@
 
 import io
 import json
+from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
+import gemkit.census as census_mod
 from gemkit import (
     CapExceededError,
+    ColoredGraph,
     HomologyGroup,
     TABLE1,
     build_census,
@@ -21,7 +25,36 @@ from gemkit import (
 )
 from gemkit.census import ENUMERATION_CAP, CensusEntry, write_census
 from gemkit.data import Table1Row
-from helpers import ORDER8_Z2_CODE, naive_census
+from helpers import (
+    ORDER8_Z2_CODE,
+    automorphism_count,
+    census_start_count,
+    naive_census,
+)
+
+
+@pytest.fixture(scope="module")
+def census_leaves():
+    """``run(order)`` gives the census classes of one order and every
+    ``(graph, ceiling)`` leaf the generator handed to ``beats_entries``."""
+    runs = {}
+    real = census_mod.beats_entries
+
+    def run(order):
+        if order not in runs:
+            leaves = []
+
+            def spy(g, ceiling):
+                leaves.append((g, list(ceiling)))
+                return real(g, ceiling)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(census_mod, "beats_entries", spy)
+                classes = [e.canonical for e in enumerate_gems(order)]
+            runs[order] = classes, leaves
+        return runs[order]
+
+    return run
 
 
 class TestEnumerate:
@@ -67,6 +100,54 @@ class TestEnumerate:
         for bad in (0, -2, 3):
             with pytest.raises(ValueError):
                 list(enumerate_gems(bad))
+
+    @pytest.mark.parametrize("order", [2, 4, 6, 8])
+    def test_trusted_leaves_equal_validated_build(self, census_leaves, order):
+        # the proof for the leaf graphs built without re-validation
+        _, leaves = census_leaves(order)
+        assert leaves
+        p = order // 2
+        for g, ceiling in leaves:
+            blocks = [ceiling[b * p : (b + 1) * p] for b in range(3)]
+            assert g == ColoredGraph.from_blocks(blocks)
+            assert g.order == order
+
+    @pytest.mark.parametrize(
+        "order, leaf_count", [(2, 1), (4, 3), (6, 29), (8, 503), (10, 13157)]
+    )
+    def test_leaf_count_is_orbit_sum(self, census_leaves, order, leaf_count):
+        # each class leaves one leaf per automorphism orbit of the starts it
+        # keeps, so a dropped or duplicated class breaks the sum
+        classes, leaves = census_leaves(order)
+        total = Fraction(0)
+        for code in classes:
+            g = parse_code(code)
+            total += Fraction(census_start_count(g), automorphism_count(g))
+        assert total == len(leaves) == leaf_count
+
+    @pytest.mark.parametrize("order, expected", [(8, 2), (10, 3)])
+    def test_classes_without_double_edge_match_brute_force(
+        self, census_leaves, order, expected
+    ):
+        # every triple of blocks with no fixed point (no double edge with
+        # color 0) and no agreeing pair (none between colors 1-3)
+        def apart(a, b):
+            return all(x != y for x, y in zip(a, b))
+
+        p = order // 2
+        identity = tuple(range(1, p + 1))
+        free = [b for b in permutations(identity) if apart(b, identity)]
+        seen = set()
+        for b1 in free:
+            for b2 in (b for b in free if apart(b1, b)):
+                for b3 in free:
+                    if apart(b1, b3) and apart(b2, b3):
+                        g = ColoredGraph.from_blocks((b1, b2, b3))
+                        if is_connected(g):
+                            seen.add(canonical_code(g))
+        classes, _ = census_leaves(order)
+        assert seen == {c for c in classes if c.startswith("B")}
+        assert len(seen) == expected
 
 
 class TestBuildCensus:

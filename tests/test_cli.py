@@ -231,6 +231,25 @@ class TestCensus:
         assert rc == 0 and silent == ""
         assert target.read_text(encoding="utf-8") == out
 
+    def test_unwritable_out_fails_before_the_search(self, capsys, tmp_path, monkeypatch):
+        import gemkit.census as census_mod
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("census built before --out was opened")
+
+        monkeypatch.setattr(census_mod, "build_census", must_not_run)
+        target = tmp_path / "missing-dir" / "census.txt"
+        rc, out, err = run(capsys, ["census", "--order", "6", "--out", str(target)])
+        assert rc == 2 and out == "" and "missing-dir" in err
+        assert not target.exists()
+
+    def test_odd_order_leaves_out_file_untouched(self, capsys, tmp_path):
+        target = tmp_path / "census.txt"
+        target.write_text("keep\n", encoding="utf-8")
+        rc, _, err = run(capsys, ["census", "--order", "5", "--out", str(target)])
+        assert rc == 2 and "even" in err
+        assert target.read_text(encoding="utf-8") == "keep\n"
+
     def test_max_results(self, capsys):
         rc, out, _ = run(capsys, ["census", "--order", "6", "--max-results", "1"])
         assert rc == 0

@@ -64,6 +64,15 @@ class TestVoltageAssignment:
         va = VoltageAssignment(base, 3, [[4, 0, 0, 0], [-4, 0, 0, 0]])
         assert va.volt[0][0] == 1 and va.volt[1][0] == 2
 
+    def test_non_integer_voltages_rejected(self):
+        # truncating 0.5 to 0 would quietly give a valid table
+        base = parse_code("AAA")
+        with pytest.raises(TypeError):
+            VoltageAssignment(base, 3, [[0.5, 0, 0, 0], [0, 0, 0, 0]])
+        # a float group order would keep a float table that passes the check
+        with pytest.raises(TypeError):
+            VoltageAssignment(base, 2.5, [[1, 0, 0, 0], [-1, 0, 0, 0]])
+
     def test_from_edge_values_rejects_non_edges(self):
         base = parse_code("AAA")
         _, tail, _, _ = edge_framework(base)
@@ -176,6 +185,8 @@ class TestVerifyCovering:
             CoveringMap(parse_code("ABABAB"), base, (0, 0, 1))
         with pytest.raises(ValueError):
             CoveringMap(parse_code("ABABAB"), base, (0, 0, 1, 7))
+        with pytest.raises(TypeError):
+            CoveringMap(parse_code("ABABAB"), base, (0, 0, 1, 1.5))
 
 
 class TestHolonomy:

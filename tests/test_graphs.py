@@ -66,6 +66,13 @@ class TestColoredGraphValidation:
         with pytest.raises(ValueError):
             ColoredGraph([[5, 0], [1, 0], [1, 0], [1, 0]])
 
+    def test_rejects_non_integer_entries(self):
+        # truncating or parsing these would quietly give ((1, 0),) * 4
+        with pytest.raises(TypeError):
+            ColoredGraph([[1.9, 0.2]] * 4)
+        with pytest.raises(TypeError):
+            ColoredGraph([["1", "0"]] * 4)
+
     def test_value_semantics(self):
         a = parse_code("BAABBA")
         b = ColoredGraph(a.inv)
