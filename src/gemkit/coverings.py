@@ -24,14 +24,7 @@ from gemkit.errors import (
     NotAdjacencyPreservingError,
     NotConnectedError,
 )
-from gemkit.graphs import (
-    COLOR_PAIRS,
-    COLORS,
-    BicoloredCycle,
-    ColoredGraph,
-    bicolored_cycles,
-    is_connected,
-)
+from gemkit.graphs import COLORS, BicoloredCycle, ColoredGraph, _structure, is_connected
 from gemkit.homology import snf_with_column_transform
 from gemkit.topology import cycle_relation_rows, edge_framework
 
@@ -181,19 +174,14 @@ def verify_covering(cm: CoveringMap) -> int:
 def is_admissible(cm: CoveringMap) -> bool:
     """Whether the covering is bijective on every bicolored cycle.
 
-    Equivalently, each cycle upstairs has exactly the length of the cycle
-    it covers.  Raises if ``cm`` is not a covering at all.
+    Each cycle upstairs winds k >= 1 times round the cycle it covers and the
+    k over one base cycle sum to the degree n, so this holds exactly when
+    every color pair has n times as many cycles upstairs as in the base.
+    Raises if ``cm`` is not a covering at all.
     """
-    verify_covering(cm)
-    for pair in COLOR_PAIRS:
-        base_len = {}
-        for cyc in bicolored_cycles(cm.base, pair):
-            for v in cyc.vertices:
-                base_len[v] = len(cyc)
-        for cyc in bicolored_cycles(cm.total, pair):
-            if len(cyc) != base_len[cm.f[cyc.vertices[0]]]:
-                return False
-    return True
+    n = verify_covering(cm)
+    total, base = _structure(cm.total).cycles, _structure(cm.base).cycles
+    return all(len(t) == n * len(b) for t, b in zip(total, base))
 
 
 def holonomy(va: VoltageAssignment, cycle: BicoloredCycle) -> int:

@@ -17,6 +17,7 @@ as comma-separated integers.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import permutations
 from operator import index
@@ -48,7 +49,7 @@ class ColoredGraph:
     package treat them as values.
     """
 
-    __slots__ = ("order", "inv")
+    __slots__ = ("order", "inv", "_record")
 
     def __init__(self, involutions: Sequence[Sequence[int]]):
         inv = tuple(tuple(index(w) for w in m) for m in involutions)
@@ -71,6 +72,7 @@ class ColoredGraph:
                     raise ValueError("color %d map is not an involution at %d" % (c, v))
         self.order = n
         self.inv = inv
+        self._record = None
 
     @classmethod
     def _trusted(cls, inv: tuple[tuple[int, ...], ...]) -> "ColoredGraph":
@@ -82,6 +84,7 @@ class ColoredGraph:
         g = object.__new__(cls)
         g.order = len(inv[0])
         g.inv = inv
+        g._record = None
         return g
 
     @classmethod
@@ -191,35 +194,38 @@ class Residue:
 def _components(maps: Sequence[Sequence[int]]):
     """Components and sides of the graph whose edges are the given involutions.
 
-    Returns ``(comp, side, bipartite)``: each vertex's component index
+    Returns ``(comp, side, bipartite, via)``: each vertex's component index
     (components numbered by their smallest vertex), its side (the smallest
-    vertex of its component sits on side 0) and, per component, whether
-    every edge joins the two sides.
+    vertex of its component sits on side 0), per component whether every
+    edge joins the two sides, and per vertex ``w`` the map index ``c`` of
+    its breadth-first tree edge to ``maps[c][w]`` (-1 at each root).
     """
     n = len(maps[0])
     comp = [-1] * n
     side = [0] * n
     bipartite = []
+    via = [-1] * n
+    indexed = list(enumerate(maps))
     for root in range(n):
         if comp[root] >= 0:
             continue
         k = len(bipartite)
         comp[root] = k
         even = True
-        stack = [root]
-        while stack:
-            v = stack.pop()
+        queue = [root]
+        for v in queue:
             s = side[v] ^ 1
-            for m in maps:
+            for c, m in indexed:
                 w = m[v]
                 if comp[w] < 0:
                     comp[w] = k
                     side[w] = s
-                    stack.append(w)
+                    via[w] = c
+                    queue.append(w)
                 elif side[w] != s:
                     even = False
         bipartite.append(even)
-    return comp, side, bipartite
+    return comp, side, bipartite, via
 
 
 def _cycles(first: Sequence[int], second: Sequence[int]) -> list[tuple[int, ...]]:
@@ -246,14 +252,37 @@ def _cycles(first: Sequence[int], second: Sequence[int]) -> list[tuple[int, ...]
     return out
 
 
+_Structure = namedtuple("_Structure", "connected side tree cycles")
+
+
+def _structure(g: ColoredGraph, cycles: bool = True) -> _Structure:
+    """The graph's structure record, computed on first use and kept on it.
+
+    It holds the connected flag, the side tuple (``None`` unless bipartite),
+    the breadth-first spanning tree of vertex 0's component as a frozenset
+    of edges and, per pair of ``COLOR_PAIRS``, the cycles of :func:`_cycles`.
+    With ``cycles`` false a new record gets the sweep only and no walk.
+    """
+    rec = g._record
+    if rec is None:
+        comp, side, bipartite, via = _components(g.inv)
+        reached = [(w, c) for w, c in enumerate(via) if c >= 0 and not comp[w]]
+        tree = frozenset((c, *sorted((w, g.inv[c][w]))) for w, c in reached)
+        side = tuple(side) if all(bipartite) else None
+        rec = g._record = _Structure(len(bipartite) == 1, side, tree, None)
+    if cycles and rec.cycles is None:
+        walks = tuple(tuple(_cycles(g.inv[a], g.inv[b])) for a, b in COLOR_PAIRS)
+        rec = g._record = rec._replace(cycles=walks)
+    return rec
+
+
 def bipartition(g: ColoredGraph) -> Optional[tuple[int, ...]]:
     """Two-color the vertices across all edges.
 
     Returns the per-vertex side array (the first vertex reached in every
     component sits on side 0), or ``None`` when some cycle is odd.
     """
-    _, side, bipartite = _components(g.inv)
-    return tuple(side) if all(bipartite) else None
+    return _structure(g, cycles=False).side
 
 
 def is_bipartite(g: ColoredGraph) -> bool:
@@ -263,7 +292,7 @@ def is_bipartite(g: ColoredGraph) -> bool:
 
 def is_connected(g: ColoredGraph) -> bool:
     """True when every vertex is reachable from vertex 0."""
-    return len(_components(g.inv)[2]) == 1
+    return _structure(g, cycles=False).connected
 
 
 def bicolored_cycles(g: ColoredGraph, colors: Iterable[int]) -> list[BicoloredCycle]:
@@ -275,15 +304,16 @@ def bicolored_cycles(g: ColoredGraph, colors: Iterable[int]) -> list[BicoloredCy
     pair = sorted(colors)
     if len(pair) != 2 or pair[0] == pair[1] or not all(c in COLORS for c in pair):
         raise ValueError("need two distinct colors from %r" % (COLORS,))
-    c1, c2 = pair
-    return [BicoloredCycle((c1, c2), vs) for vs in _cycles(g.inv[c1], g.inv[c2])]
+    # index() keeps refusing a float color such as 1.0, which equals 1
+    cycles = _structure(g).cycles[COLOR_PAIRS.index(tuple(map(index, pair)))]
+    return [BicoloredCycle(tuple(pair), vs) for vs in cycles]
 
 
 def residues(g: ColoredGraph, missing_color: int) -> list[Residue]:
     """Connected components after deleting all edges of one color."""
     if missing_color not in COLORS:
         raise ValueError("missing_color must be one of %r" % (COLORS,))
-    comp, _, bipartite = _components([g.inv[c] for c in COLORS if c != missing_color])
+    comp, _, bipartite, _ = _components([g.inv[c] for c in COLORS if c != missing_color])
     groups = [[] for _ in bipartite]
     for v, k in enumerate(comp):
         groups[k].append(v)
@@ -352,7 +382,7 @@ def parse_code(text: str) -> ColoredGraph:
         # positive vertex twice: either way the block is no permutation
         if min(block) < 0 or len(set(block)) != p:
             raise NotInvolutionError("block %d does not define an involution" % b)
-    return ColoredGraph.from_blocks(blocks)
+    return ColoredGraph._trusted(_block_maps(blocks))
 
 
 def identity_labeling(order: int) -> tuple[int, ...]:
@@ -496,10 +526,10 @@ def canonical_code(g: ColoredGraph) -> str:
     combined with all 24 color permutations.  Two connected bipartite
     graphs are color-isomorphic exactly when their canonical codes agree.
     """
-    _, _, bipartite = _components(g.inv)
-    if len(bipartite) != 1:
+    rec = _structure(g, cycles=False)
+    if not rec.connected:
         raise NotConnectedError("canonical_code requires a connected graph")
-    if not bipartite[0]:
+    if rec.side is None:
         raise NotBipartiteError("canonical_code requires a bipartite graph")
     p = g.order // 2
     return _serialize_entries(canonical_entries(g), numeric=p > MAX_LETTER_PAIRS)

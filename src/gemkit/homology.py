@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from operator import index
 from typing import Sequence
 
 
@@ -27,9 +28,9 @@ class HomologyGroup:
     torsion: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        if self.rank < 0:
+        if index(self.rank) < 0:
             raise ValueError("rank must be non-negative")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        object.__setattr__(self, "torsion", tuple(index(d) for d in self.torsion))
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise ValueError("torsion coefficients must form a divisibility chain")
@@ -58,7 +59,7 @@ def _snf(mat: Sequence[Sequence[int]], want_transform: bool):
     column transform (``None`` unless requested) with ``U * mat * V``
     diagonal for some unimodular ``U``.
     """
-    A = [[int(x) for x in row] for row in mat]
+    A = [[index(x) for x in row] for row in mat]
     nrows = len(A)
     ncols = len(A[0]) if nrows else 0
     for row in A:
@@ -169,7 +170,7 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], in
     """
     if any(len(r) != len(mat[0]) for r in mat):
         raise ValueError("matrix rows have unequal lengths")
-    rows = [{j: int(x) for j, x in enumerate(r) if x} for r in mat]
+    rows = [{j: x for j, x in enumerate(map(index, r)) if x} for r in mat]
     cols: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:

@@ -11,20 +11,18 @@ those links are exactly the boundary components.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Optional, Sequence
 
 from gemkit.errors import NotConnectedError
 from gemkit.graphs import (
     COLOR_PAIRS,
     COLORS,
-    BicoloredCycle,
     ColoredGraph,
     Residue,
     _components,
     _cycles,
-    bicolored_cycles,
-    bipartition,
-    is_connected,
+    _structure,
     residues,
 )
 from gemkit.homology import HomologyGroup, group_from_relations
@@ -88,23 +86,23 @@ class BoundaryProfile:
         return len(self.components)
 
 
-def _surfaces(maps: Sequence[Sequence[int]]) -> list[SurfaceType]:
+def _surfaces(maps: Sequence[Sequence[int]], cycles) -> list[SurfaceType]:
     """The closed surface encoded by each component of a 3-colored graph.
 
-    A component on m vertices is a surface of m triangles (its vertices)
-    glued along 3m/2 edges (its edges), with one surface vertex per
-    bicolored cycle, so its Euler characteristic is V - E + F =
-    cycles - 3m/2 + m = cycles - m/2, counting its cycles over the three
-    color pairs.  It is orientable exactly when it is bipartite.  Surfaces
-    come in the order of the components' smallest vertices.
+    ``cycles`` holds each color pair's cycles as vertex tuples.  A component
+    on m vertices is a surface of m triangles (its vertices) glued along
+    3m/2 edges (its edges), with one surface vertex per bicolored cycle, so
+    its Euler characteristic is V - E + F = cycles - 3m/2 + m = cycles -
+    m/2.  It is orientable exactly when it is bipartite.  Surfaces come in
+    the order of the components' smallest vertices.
     """
-    comp, _, bipartite = _components(maps)
+    comp, _, bipartite, _ = _components(maps)
     size = [0] * len(bipartite)
     for k in comp:
         size[k] += 1
     euler = [-s // 2 for s in size]
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        for cycle in _cycles(maps[a], maps[b]):
+    for pair_cycles in cycles:
+        for cycle in pair_cycles:
             euler[comp[cycle[0]]] += 1
     return [SurfaceType(o, e) for o, e in zip(bipartite, euler)]
 
@@ -115,7 +113,7 @@ def surface_type(involutions: Sequence[Sequence[int]]) -> SurfaceType:
     Raises ``ValueError`` unless the three maps are fixed-point-free
     involutions on one connected vertex set.
     """
-    maps = tuple(tuple(int(x) for x in m) for m in involutions)
+    maps = tuple(tuple(index(x) for x in m) for m in involutions)
     if len(maps) != 3:
         raise ValueError("expected 3 involutions, got %d" % len(maps))
     m = len(maps[0])
@@ -126,7 +124,8 @@ def surface_type(involutions: Sequence[Sequence[int]]) -> SurfaceType:
             not 0 <= mp[v] < m or mp[mp[v]] != v or mp[v] == v for v in range(m)
         ):
             raise ValueError("maps must be fixed-point-free involutions")
-    surfaces = _surfaces(maps)
+    cycles = [_cycles(maps[a], maps[b]) for a, b in ((0, 1), (0, 2), (1, 2))]
+    surfaces = _surfaces(maps, cycles)
     if len(surfaces) != 1:
         raise ValueError("the 3-colored graph must be connected")
     return surfaces[0]
@@ -142,14 +141,14 @@ def boundary_profile(g: ColoredGraph) -> BoundaryProfile:
 
     Empty exactly when the represented manifold is closed.
     """
-    if not is_connected(g):
+    rec = _structure(g)
+    if not rec.connected:
         raise NotConnectedError("boundary_profile requires a connected graph")
-    comps = [
-        s
-        for c in COLORS
-        for s in _surfaces([g.inv[k] for k in COLORS if k != c])
-        if not s.is_sphere
-    ]
+    comps = []
+    for c in COLORS:
+        maps = [g.inv[k] for k in COLORS if k != c]
+        cycles = [cyc for pair, cyc in zip(COLOR_PAIRS, rec.cycles) if c not in pair]
+        comps += [s for s in _surfaces(maps, cycles) if not s.is_sphere]
     comps.sort(key=lambda s: (not s.orientable, -s.euler))
     return BoundaryProfile(tuple(comps))
 
@@ -175,27 +174,11 @@ def edge_framework(g: ColoredGraph):
     invariants, so only determinism matters here.
     """
     edges = g.edges()
-    side = bipartition(g)
-    tail = {}
-    for e in edges:
-        c, u, w = e
-        if side is not None and side[u] != 0:
-            tail[e] = w
-        else:
-            tail[e] = u
-    seen = [False] * g.order
-    seen[0] = True
-    queue = [0]
-    tree = set()
-    for v in queue:
-        for c in COLORS:
-            w = g.inv[c][v]
-            if not seen[w]:
-                seen[w] = True
-                tree.add((c, v, w) if v < w else (c, w, v))
-                queue.append(w)
-    free = tuple(e for e in edges if e not in tree)
-    return edges, tail, tree, free
+    rec = _structure(g, cycles=False)
+    side = rec.side or (0,) * g.order
+    tail = {(c, u, w): w if side[u] else u for c, u, w in edges}
+    free = tuple(e for e in edges if e not in rec.tree)
+    return edges, tail, rec.tree, free
 
 
 def cycle_relation_rows(g: ColoredGraph):
@@ -210,17 +193,16 @@ def cycle_relation_rows(g: ColoredGraph):
     Returns ``(rows, free)`` with ``free`` the ordered non-tree edges.
     """
     _, tail, _, free = edge_framework(g)
-    index = {e: k for k, e in enumerate(free)}
+    column = {e: k for k, e in enumerate(free)}
     rows = []
-    for pair in COLOR_PAIRS:
-        for cyc in bicolored_cycles(g, pair):
+    for (c1, c2), cycles in zip(COLOR_PAIRS, _structure(g).cycles):
+        for cyc in cycles:
             row = [0] * len(free)
-            c1, c2 = cyc.colors
             col = c1
-            for u in cyc.vertices:
+            for u in cyc:
                 w = g.inv[col][u]
                 e = (col, u, w) if u < w else (col, w, u)
-                k = index.get(e)
+                k = column.get(e)
                 if k is not None:
                     row[k] += 1 if u == tail[e] else -1
                 col = c1 + c2 - col
@@ -237,7 +219,7 @@ def first_homology(g: ColoredGraph) -> HomologyGroup:
     the cycle relation rows; the Smith normal form reads off rank and
     invariant factors exactly.
     """
-    if not is_connected(g):
+    if not _structure(g, cycles=False).connected:
         raise NotConnectedError("first_homology requires a connected graph")
     rows, free = cycle_relation_rows(g)
     return group_from_relations(len(free), rows)
@@ -255,11 +237,10 @@ def is_six_regular(g: ColoredGraph) -> bool:
     tetrahedra, the combinatorial shadow of gluings by regular ideal
     tetrahedra; the order must then be divisible by 6.
     """
-    if not is_connected(g):
+    rec = _structure(g)
+    if not rec.connected:
         raise NotConnectedError("is_six_regular requires a connected graph")
-    return all(
-        len(cyc) == 6 for pair in COLOR_PAIRS for cyc in bicolored_cycles(g, pair)
-    )
+    return all(len(cyc) == 6 for cycles in rec.cycles for cyc in cycles)
 
 
 @dataclass(frozen=True)
@@ -291,7 +272,7 @@ def euler_characteristic(g: ColoredGraph) -> int:
     zero for every closed orientable case.
     """
     r = sum(len(residues(g, c)) for c in COLORS)
-    cyc = sum(len(bicolored_cycles(g, pair)) for pair in COLOR_PAIRS)
+    cyc = sum(len(cycles) for cycles in _structure(g).cycles)
     return r - cyc + 2 * g.order - g.order
 
 
@@ -305,7 +286,7 @@ def invariant_report(
         "name": name,
         "code": code,
         "order": g.order,
-        "bipartite": bipartition(g) is not None,
+        "bipartite": _structure(g, cycles=False).side is not None,
         "closed": profile.closed,
         "boundary": [s.as_dict() for s in profile.components],
         "h1": {"rank": h1.rank, "torsion": list(h1.torsion)},

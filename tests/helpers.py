@@ -11,11 +11,14 @@ from itertools import combinations, permutations
 from math import gcd
 
 from gemkit import (
+    COLOR_PAIRS,
     COVERING_BASE_CODES,
     TABLE1,
     ColoredGraph,
+    bicolored_cycles,
     canonical_code,
     is_connected,
+    verify_covering,
 )
 
 TABLE_CODES = tuple(row.code for row in TABLE1)
@@ -320,3 +323,40 @@ def census_start_count(g):
         for s in range(g.order)
     )
     return double or 24 * g.order
+
+
+# ---------------------------------------------------------------------------
+# structure-record oracles
+# ---------------------------------------------------------------------------
+
+
+def bfs_tree(g):
+    """The breadth-first spanning tree of vertex 0's component, by a queue
+    of its own: vertices in discovery order, colours ascending, each edge
+    as ``(colour, u, w)`` with ``u < w``."""
+    seen = {0}
+    queue = [0]
+    tree = set()
+    for v in queue:
+        for c in range(4):
+            w = g.inv[c][v]
+            if w not in seen:
+                seen.add(w)
+                tree.add((c, min(v, w), max(v, w)))
+                queue.append(w)
+    return tree
+
+
+def reference_is_admissible(cm):
+    """Admissibility cycle by cycle: every cycle upstairs has exactly the
+    length of the base cycle under its first vertex."""
+    verify_covering(cm)
+    for pair in COLOR_PAIRS:
+        base_len = {}
+        for cyc in bicolored_cycles(cm.base, pair):
+            for v in cyc.vertices:
+                base_len[v] = len(cyc)
+        for cyc in bicolored_cycles(cm.total, pair):
+            if len(cyc) != base_len[cm.f[cyc.vertices[0]]]:
+                return False
+    return True

@@ -1,5 +1,7 @@
 """Code-string codec: parsing, emission, labelings, and the error taxonomy."""
 
+import random
+
 import pytest
 
 from gemkit import (
@@ -71,6 +73,43 @@ class TestParse:
         for text in ("baABBA", "-2,-1,1,2,2,1"):
             with pytest.raises(NotInvolutionError):
                 parse_code(text)
+
+
+def code_blocks(text):
+    """The three 1-based blocks a well-formed code string spells."""
+    if "," in text:
+        entries = [int(t) for t in text.split(",")]
+    else:
+        entries = [ord(ch) - ord("A") + 1 for ch in text]
+    p = len(entries) // 3
+    return [entries[b * p : (b + 1) * p] for b in range(3)]
+
+
+class TestTrustedParse:
+    # parse_code builds its graph without re-validating the involutions;
+    # this is the proof that the graph is the validated constructor's
+    def test_bundled_codes_equal_validated_build(self):
+        for code in ALL_BUNDLED_CODES:
+            assert parse_code(code).inv == ColoredGraph.from_blocks(code_blocks(code)).inv
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_random_codes_equal_validated_build(self, numeric):
+        rng = random.Random(61 + numeric)
+        for p in range(1, 31 if numeric else 27):
+            for _ in range(5):
+                blocks = []
+                for _ in range(3):
+                    b = list(range(1, p + 1))
+                    rng.shuffle(b)
+                    blocks.append(b)
+                entries = blocks[0] + blocks[1] + blocks[2]
+                if numeric:
+                    text = ",".join(map(str, entries))
+                else:
+                    text = "".join(chr(ord("A") + j - 1) for j in entries)
+                g = parse_code(text)
+                assert g.order == 2 * p
+                assert g.inv == ColoredGraph.from_blocks(blocks).inv
 
 
 class TestParseErrors:

@@ -27,10 +27,11 @@ from gemkit import (
     is_bipartite,
     is_connected,
     parse_code,
+    relabeled,
     verify_covering,
 )
 from gemkit.topology import edge_framework
-from helpers import ALL_BUNDLED_CODES, surjective_hom_count
+from helpers import ALL_BUNDLED_CODES, reference_is_admissible, surjective_hom_count
 
 BASE_CODES = ALL_BUNDLED_CODES[-3:]
 
@@ -242,6 +243,30 @@ class TestHolonomy:
                     for cyc in bicolored_cycles(base, pair)
                 )
                 assert is_admissible(cm) == trivial
+
+    @pytest.mark.parametrize("code", BASE_CODES)
+    def test_cycle_count_test_equals_per_cycle_reference(self, code):
+        rng = random.Random(code)
+        base = parse_code(code)
+        outcomes = set()
+        for n in range(2, 7):
+            voltages = find_admissible_cyclic_coverings(base, n, limit=3)
+            voltages += [random_voltage(rng, base, n) for _ in range(6)]
+            for va in voltages:
+                total, cm = derived_graph(va)
+                # a relabelled copy of the derived graph, projected the same way
+                perm = list(range(total.order))
+                rng.shuffle(perm)
+                f = [0] * total.order
+                for x, y in enumerate(perm):
+                    f[y] = cm.f[x]
+                moved = CoveringMap(relabeled(total, perm), base, f)
+                got = is_admissible(cm), is_admissible(moved)
+                want = reference_is_admissible(cm)
+                assert got == (want, want)
+                assert reference_is_admissible(moved) == want
+                outcomes.add(want)
+        assert outcomes == {True, False}
 
 
 class TestSolver:

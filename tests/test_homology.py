@@ -38,6 +38,13 @@ class TestHomologyGroup:
         with pytest.raises(ValueError):
             HomologyGroup(0, (2, 3))  # 3 not a multiple of 2
 
+    def test_non_integer_rank_and_torsion_rejected(self):
+        # truncation would print Z^1 and Z/2
+        with pytest.raises(TypeError):
+            HomologyGroup(1.5)
+        with pytest.raises(TypeError):
+            HomologyGroup(0, (2.9,))
+
     def test_equality(self):
         assert HomologyGroup(2, (2,)) == HomologyGroup(2, [2])
         assert HomologyGroup(2) != HomologyGroup(2, (2,))
@@ -62,6 +69,13 @@ class TestSmithNormalFormExamples:
 
     def test_single_entry(self):
         assert smith_normal_form([[-6]]) == ((6,), 1)
+
+    def test_non_integer_entries_rejected(self):
+        # truncating 2.5 would give the factors (2,)
+        with pytest.raises(TypeError):
+            smith_normal_form([[2.5]])
+        with pytest.raises(TypeError):
+            smith_normal_form([[0.0, 1]])
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
@@ -111,6 +125,10 @@ class TestSmithNormalFormProperties:
 
 
 class TestColumnTransform:
+    def test_non_integer_entries_rejected(self):
+        with pytest.raises(TypeError):
+            snf_with_column_transform([[2.5]])
+
     def test_transform_properties(self):
         rng = random.Random(107)
         for _ in range(100):
@@ -168,3 +186,8 @@ class TestGroupFromRelations:
     def test_row_length_validation(self):
         with pytest.raises(ValueError):
             group_from_relations(2, [[1, 2, 3]])
+
+    def test_non_integer_relations_rejected(self):
+        # truncating 2.7 would present Z/2
+        with pytest.raises(TypeError):
+            group_from_relations(1, [[2.7]])

@@ -160,6 +160,12 @@ class TestSurfaceClassifier:
             # two disjoint double edges: disconnected
             surface_type([[1, 0, 3, 2], [1, 0, 3, 2], [1, 0, 3, 2]])
 
+    @pytest.mark.parametrize("first", [[1.9, 0], ["1", 0]])
+    def test_non_integer_entries_rejected(self, first):
+        # truncating 1.9 (or converting "1") would classify a sphere
+        with pytest.raises(TypeError):
+            surface_type([first, [1, 0], [1, 0]])
+
 
 class TestLinksAndBoundary:
     def test_order_two_graph_is_closed(self):
