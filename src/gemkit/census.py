@@ -105,16 +105,14 @@ def classify(entry: CensusEntry) -> CensusEntry:
     )
 
 
-def build_census(order: int, *, classify_entries: bool = True) -> list[CensusEntry]:
-    """The full census of one order, sorted by canonical code."""
+def build_census(order: int) -> list[CensusEntry]:
+    """The full classified census of one order, sorted by canonical code."""
     if order > ENUMERATION_CAP:
         raise CapExceededError(
             "order %d exceeds the enumeration cap %d" % (order, ENUMERATION_CAP)
         )
     entries = sorted(enumerate_gems(order), key=lambda e: e.canonical)
-    if classify_entries:
-        entries = [classify(e) for e in entries]
-    return entries
+    return [classify(e) for e in entries]
 
 
 def write_census(fh: IO[str], entries: Iterable[CensusEntry], order: int) -> None:

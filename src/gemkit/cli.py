@@ -26,8 +26,8 @@ from gemkit.coverings import (
     is_admissible,
 )
 from gemkit.errors import GemError
-from gemkit.graphs import canonical_code, parse_code
-from gemkit.topology import edge_framework, invariant_report
+from gemkit.graphs import _structure, canonical_code, parse_code
+from gemkit.topology import invariant_report
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -132,19 +132,14 @@ def _cmd_cover(args) -> int:
         )
         return USAGE_ERROR
     solutions = find_admissible_cyclic_coverings(base, args.degree, limit=args.limit)
-    _, tail, _, free = edge_framework(base)
+    free = _structure(base, cycles=False).free
     records = []
     for va in solutions:
         total, cm = derived_graph(va)
-        voltages = []
-        for edge in free:
-            c, _, _ = edge
-            t = tail[edge]
-            voltages.append([t, c, va.volt[t][c]])
         report = invariant_report(total)
         records.append(
             {
-                "voltages": voltages,
+                "voltages": [[t, c, va.volt[t][c]] for t, c in free],
                 "derived_code": canonical_code(total),
                 "admissible": is_admissible(cm),
                 "boundary": report["boundary"],

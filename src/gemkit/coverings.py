@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd
 from operator import index
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from gemkit.errors import (
     NoAdmissibleCoveringError,
@@ -26,7 +26,7 @@ from gemkit.errors import (
 )
 from gemkit.graphs import COLORS, BicoloredCycle, ColoredGraph, _structure, is_connected
 from gemkit.homology import snf_with_column_transform
-from gemkit.topology import cycle_relation_rows, edge_framework
+from gemkit.topology import cycle_relation_rows
 
 #: Largest derived-graph order (base order times degree) ``cover`` builds.
 DERIVED_ORDER_CAP = 4800
@@ -60,31 +60,6 @@ class VoltageAssignment:
         self.base = base
         self.n = n
         self.volt = table
-
-    @classmethod
-    def from_edge_values(
-        cls,
-        base: ColoredGraph,
-        n: int,
-        values: Mapping[tuple[int, int, int], int],
-        tail: Mapping[tuple[int, int, int], int],
-    ) -> "VoltageAssignment":
-        """Build a full table from per-edge values read tail-to-head.
-
-        ``values`` maps ``(color, u, w)`` edges (``u < w``) to the element
-        picked up from ``tail[edge]`` toward the other endpoint; edges not
-        listed carry 0.
-        """
-        volt = [[0] * 4 for _ in range(base.order)]
-        for edge, val in values.items():
-            c, u, w = edge
-            if base.inv[c][u] != w:
-                raise ValueError("%r is not an edge of the base graph" % (edge,))
-            t = tail[edge]
-            h = w if t == u else u
-            volt[t][c] = val % n
-            volt[h][c] = -val % n
-        return cls(base, n, volt)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -220,6 +195,8 @@ def find_admissible_cyclic_coverings(
     when ``limit`` is None); with a positive limit, an empty list means no
     admissible connected covering of this degree exists.
     """
+    n = index(n)
+    limit = None if limit is None else index(limit)
     if n < 1:
         raise ValueError("the covering degree must be at least 1")
     if limit is not None and limit < 0:
@@ -233,7 +210,6 @@ def find_admissible_cyclic_coverings(
     factors, rank, V = snf_with_column_transform(rows)
     counts = [gcd(d, n) for d in factors] + [n] * (m - rank)
     steps = [n // g for g in counts[:rank]] + [1] * (m - rank)
-    _, tail, _, _ = edge_framework(base)
     out: list[VoltageAssignment] = []
     for combo in product(*(range(cnt) for cnt in counts)):
         y = [t * s for t, s in zip(combo, steps)]
@@ -243,8 +219,11 @@ def find_admissible_cyclic_coverings(
             g = gcd(g, val)
         if g != 1:
             continue
-        values = {free[k]: x[k] for k in range(m)}
-        out.append(VoltageAssignment.from_edge_values(base, n, values, tail))
+        volt = [[0] * 4 for _ in range(base.order)]
+        for (t, c), val in zip(free, x):
+            volt[t][c] = val
+            volt[base.inv[c][t]][c] = -val % n
+        out.append(VoltageAssignment(base, n, volt))
         if limit is not None and len(out) >= limit:
             break
     return out
@@ -269,6 +248,7 @@ def complexity_bounds_report(
     ``n * tetrahedra <= complexity <= n * base.order``.  Existence of such a
     covering is checked by construction before reporting.
     """
+    tetrahedra, n = index(tetrahedra), index(n)
     if tetrahedra < 1:
         raise ValueError("tetrahedra must be positive")
     if not find_admissible_cyclic_coverings(base, n, limit=1):

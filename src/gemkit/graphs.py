@@ -252,24 +252,33 @@ def _cycles(first: Sequence[int], second: Sequence[int]) -> list[tuple[int, ...]
     return out
 
 
-_Structure = namedtuple("_Structure", "connected side tree cycles")
+_Structure = namedtuple("_Structure", "connected side free cycles")
 
 
 def _structure(g: ColoredGraph, cycles: bool = True) -> _Structure:
     """The graph's structure record, computed on first use and kept on it.
 
     It holds the connected flag, the side tuple (``None`` unless bipartite),
-    the breadth-first spanning tree of vertex 0's component as a frozenset
-    of edges and, per pair of ``COLOR_PAIRS``, the cycles of :func:`_cycles`.
-    With ``cycles`` false a new record gets the sweep only and no walk.
+    the edges off the breadth-first spanning tree of vertex 0's component
+    and, per pair of ``COLOR_PAIRS``, the cycles of :func:`_cycles`.  Each
+    free edge is a dart ``(tail, color)`` with head ``inv[color][tail]``,
+    listed by color, then lower endpoint; the tail is the side-0 endpoint
+    when the graph is bipartite and the lower endpoint otherwise.  With
+    ``cycles`` false a new record gets the sweep only and no walk.
     """
     rec = g._record
     if rec is None:
         comp, side, bipartite, via = _components(g.inv)
-        reached = [(w, c) for w, c in enumerate(via) if c >= 0 and not comp[w]]
-        tree = frozenset((c, *sorted((w, g.inv[c][w]))) for w, c in reached)
         side = tuple(side) if all(bipartite) else None
-        rec = g._record = _Structure(len(bipartite) == 1, side, tree, None)
+        # an edge of vertex 0's component is on the tree exactly when it is
+        # the tree edge of one of its endpoints
+        free = tuple(
+            (w if side and side[u] else u, c)
+            for c, m in enumerate(g.inv)
+            for u, w in enumerate(m)
+            if u < w and (comp[u] or c not in (via[u], via[w]))
+        )
+        rec = g._record = _Structure(len(bipartite) == 1, side, free, None)
     if cycles and rec.cycles is None:
         walks = tuple(tuple(_cycles(g.inv[a], g.inv[b])) for a, b in COLOR_PAIRS)
         rec = g._record = rec._replace(cycles=walks)

@@ -163,48 +163,33 @@ def is_closed(g: ColoredGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def edge_framework(g: ColoredGraph):
-    """Deterministic edge bookkeeping shared by homology and voltages.
-
-    Returns ``(edges, tail, tree, free)``: the ordered edge list, the chosen
-    tail endpoint of each edge, the breadth-first spanning tree edge set
-    (rooted at vertex 0, colors ascending), and the ordered non-tree edges.
-    Bipartite graphs are oriented from the side-0 class; otherwise each edge
-    runs from its lower endpoint.  Any consistent choice yields the same
-    invariants, so only determinism matters here.
-    """
-    edges = g.edges()
-    rec = _structure(g, cycles=False)
-    side = rec.side or (0,) * g.order
-    tail = {(c, u, w): w if side[u] else u for c, u, w in edges}
-    free = tuple(e for e in edges if e not in rec.tree)
-    return edges, tail, rec.tree, free
-
-
 def cycle_relation_rows(g: ColoredGraph):
     """Boundary rows of the bicolored-cycle 2-cells over the non-tree edges.
 
     Each bicolored cycle is traversed once; every crossing of a non-tree
-    edge contributes +1 with the edge's orientation and -1 against it (the
-    signs alternate around a cycle in the bipartite case).  Collapsing the
+    edge contributes +1 from its tail and -1 from its head (the signs
+    alternate around a cycle in the bipartite case).  Collapsing the
     spanning tree makes these rows a presentation of the fundamental
     group's abelianization, with one generator per non-tree edge.
 
-    Returns ``(rows, free)`` with ``free`` the ordered non-tree edges.
+    Returns ``(rows, free)`` with ``free`` the structure record's darts.
     """
-    _, tail, _, free = edge_framework(g)
-    column = {e: k for k, e in enumerate(free)}
+    rec = _structure(g)
+    free = rec.free
+    column = {dart: k for k, dart in enumerate(free)}
     rows = []
-    for (c1, c2), cycles in zip(COLOR_PAIRS, _structure(g).cycles):
+    for (c1, c2), cycles in zip(COLOR_PAIRS, rec.cycles):
         for cyc in cycles:
             row = [0] * len(free)
             col = c1
             for u in cyc:
-                w = g.inv[col][u]
-                e = (col, u, w) if u < w else (col, w, u)
-                k = column.get(e)
+                k = column.get((u, col))
                 if k is not None:
-                    row[k] += 1 if u == tail[e] else -1
+                    row[k] += 1
+                else:
+                    k = column.get((g.inv[col][u], col))
+                    if k is not None:
+                        row[k] -= 1
                 col = c1 + c2 - col
             rows.append(row)
     return rows, free

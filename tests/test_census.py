@@ -160,9 +160,9 @@ class TestBuildCensus:
             assert e.invariants["code"] == e.canonical
             assert e.invariants["order"] == 6
 
-    def test_classification_optional(self):
-        entries = build_census(4, classify_entries=False)
-        assert all(e.invariants is None for e in entries)
+    def test_enumeration_leaves_entries_unclassified(self):
+        entries = list(enumerate_gems(4))
+        assert entries and all(e.invariants is None for e in entries)
 
     def test_classify_single_entry(self):
         e = classify(CensusEntry("AAA", 2))

@@ -30,17 +30,23 @@ from gemkit import (
     relabeled,
     verify_covering,
 )
-from gemkit.topology import edge_framework
-from helpers import ALL_BUNDLED_CODES, reference_is_admissible, surjective_hom_count
+from helpers import (
+    ALL_BUNDLED_CODES,
+    bfs_tree,
+    reference_is_admissible,
+    surjective_hom_count,
+)
 
 BASE_CODES = ALL_BUNDLED_CODES[-3:]
 
 
 def random_voltage(rng, base, n):
     """A uniformly random Z_n voltage assignment (every edge independent)."""
-    _, tail, _, _ = edge_framework(base)
-    values = {e: rng.randrange(n) for e in base.edges()}
-    return VoltageAssignment.from_edge_values(base, n, values, tail)
+    volt = [[0] * 4 for _ in range(base.order)]
+    for c, u, w in base.edges():
+        x = rng.randrange(n)
+        volt[u][c], volt[w][c] = x, -x % n
+    return VoltageAssignment(base, n, volt)
 
 
 class TestVoltageAssignment:
@@ -73,21 +79,6 @@ class TestVoltageAssignment:
         # a float group order would keep a float table that passes the check
         with pytest.raises(TypeError):
             VoltageAssignment(base, 2.5, [[1, 0, 0, 0], [-1, 0, 0, 0]])
-
-    def test_from_edge_values_rejects_non_edges(self):
-        base = parse_code("AAA")
-        _, tail, _, _ = edge_framework(base)
-        with pytest.raises(ValueError):
-            VoltageAssignment.from_edge_values(base, 2, {(0, 0, 3): 1}, tail)
-
-    def test_from_edge_values_orientation(self):
-        base = parse_code("AAA")
-        _, tail, _, _ = edge_framework(base)
-        edge = (2, 0, 1)
-        va = VoltageAssignment.from_edge_values(base, 5, {edge: 2}, tail)
-        t = tail[edge]
-        h = 1 - t
-        assert va.volt[t][2] == 2 and va.volt[h][2] == 3
 
     def test_equality(self):
         base = parse_code("AAA")
@@ -328,11 +319,21 @@ class TestSolver:
         with pytest.raises(ValueError):
             find_admissible_cyclic_coverings(base, 2, limit=-1)
 
+    def test_fractional_limit_rejected(self):
+        base = parse_code(BASE_CODES[0])
+        with pytest.raises(TypeError):
+            find_admissible_cyclic_coverings(base, 2, limit=1.5)
+
+    def test_float_degree_rejected(self):
+        # refused up front, even where no solution would be searched for
+        base = parse_code(BASE_CODES[0])
+        with pytest.raises(TypeError):
+            find_admissible_cyclic_coverings(base, 2.0, limit=0)
+
     def test_gauge_fixed_on_tree(self):
         base = parse_code(BASE_CODES[0])
-        _, _, tree, _ = edge_framework(base)
         (va,) = find_admissible_cyclic_coverings(base, 3, limit=1)
-        for c, u, w in tree:
+        for c, u, w in bfs_tree(base):
             assert va.volt[u][c] == 0 and va.volt[w][c] == 0
 
     def test_admissible_covers_preserve_toric_boundary(self):
@@ -367,3 +368,7 @@ class TestComplexityBounds:
     def test_tetrahedra_validated(self):
         with pytest.raises(ValueError):
             complexity_bounds_report(parse_code(BASE_CODES[0]), 0, 2)
+
+    def test_fractional_tetrahedra_rejected(self):
+        with pytest.raises(TypeError):
+            complexity_bounds_report(parse_code(BASE_CODES[0]), 2.5, 2)

@@ -1,5 +1,5 @@
 """The per-graph structure record: how often the structure layer sweeps and
-walks, the spanning tree it keeps, and that no caller can change it."""
+walks, the non-tree edges it keeps, and that no caller can change it."""
 
 import random
 
@@ -11,6 +11,7 @@ from gemkit import (
     COVERING_BASE_CODES,
     ColoredGraph,
     bicolored_cycles,
+    bipartition,
     canonical_code,
     derived_graph,
     find_admissible_cyclic_coverings,
@@ -21,7 +22,6 @@ from gemkit import (
     parse_code,
 )
 from gemkit import graphs, topology
-from gemkit.topology import edge_framework
 from helpers import (
     TABLE_CODES,
     bfs_tree,
@@ -88,8 +88,8 @@ def disjoint_union(g, h):
     return ColoredGraph([g.inv[c] + tuple(n + w for w in h.inv[c]) for c in COLORS])
 
 
-class TestSpanningTree:
-    def test_tree_is_the_breadth_first_tree_of_vertex_zero(self):
+class TestFreeDarts:
+    def test_free_darts_are_the_edges_off_the_breadth_first_tree(self):
         rng = random.Random(4401)
         kinds = set()
         for trial in range(600):
@@ -104,9 +104,15 @@ class TestSpanningTree:
                     random_bipartite_graph(rng, rng.randint(1, 8)),
                 )
             kinds.add((is_connected(g), is_bipartite(g)))
-            edges, _, tree, free = edge_framework(g)
-            assert tree == bfs_tree(g)
-            assert free == tuple(e for e in edges if e not in tree)
+            tree = bfs_tree(g)
+            side = bipartition(g)
+            # tail on side 0 when bipartite, else the lower endpoint
+            want = tuple(
+                (w if side and side[u] else u, c)
+                for c, u, w in g.edges()
+                if (c, u, w) not in tree
+            )
+            assert graphs._structure(g).free == want
         assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
@@ -125,5 +131,5 @@ class TestRecordIsImmutable:
             invariant_report(g)
             rec = graphs._structure(g)
             hash(rec)  # a list or dict anywhere inside would raise
-            assert isinstance(rec.tree, frozenset)
+            assert isinstance(rec.free, tuple)
             assert len(rec.cycles) == len(COLOR_PAIRS)

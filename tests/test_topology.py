@@ -32,7 +32,8 @@ from gemkit import (
     surface_type,
 )
 from gemkit.graphs import bicolored_cycles
-from gemkit.topology import cycle_relation_rows, edge_framework
+from gemkit.graphs import _structure
+from gemkit.topology import cycle_relation_rows
 from helpers import (
     ALL_BUNDLED_CODES,
     ORDER8_Z2_CODE,
@@ -251,25 +252,23 @@ def side_by_side(rng, g1, g2):
     return ColoredGraph(maps)
 
 
-class TestEdgeFramework:
-    def test_tree_and_free_edge_counts(self):
+class TestFreeDarts:
+    def test_one_dart_per_non_tree_edge(self):
         for code in ALL_BUNDLED_CODES[:5]:
             g = parse_code(code)
-            edges, tail, tree, free = edge_framework(g)
-            assert len(edges) == 2 * g.order
-            assert len(tree) == g.order - 1  # spanning tree
+            free = _structure(g).free
+            # 2 * order edges, order - 1 of them on a spanning tree
             assert len(free) == g.order + 1
-            assert set(free) == set(edges) - tree
-            for e in edges:
-                assert tail[e] in (e[1], e[2])
+            edges = {(c, *sorted((t, g.inv[c][t]))) for t, c in free}
+            assert len(edges) == len(free)
+            assert edges <= set(g.edges())
 
     def test_bipartite_orientation_from_side_zero(self):
         from gemkit import bipartition
 
         g = parse_code(TABLE_CODES[0])
         side = bipartition(g)
-        _, tail, _, _ = edge_framework(g)
-        assert all(side[t] == 0 for t in tail.values())
+        assert all(side[t] == 0 for t, _ in _structure(g).free)
 
 
 class TestCycleRelationRows:
@@ -291,19 +290,18 @@ def homology_from_full_complex(g):
 
     Uses the raw chain complex of the dual 2-complex: all 2*order edges as
     generators, the vertex boundary map to fix the free rank, and full
-    cycle rows for the torsion.  Independent of the package's tree-collapse
-    shortcut, so agreement is a genuine cross-check.
+    cycle rows for the torsion, each edge oriented from its lower endpoint.
+    Independent of the package's tree collapse and of its edge orientation,
+    so agreement is a genuine cross-check.
     """
-    edges, tail, _, _ = edge_framework(g)
+    edges = g.edges()
     index = {e: k for k, e in enumerate(edges)}
-    # boundary map edges -> vertices
+    # boundary map edges -> vertices, each edge run from its lower endpoint
     d1 = []
-    for e in edges:
-        c, u, w = e
-        head = w if tail[e] == u else u
+    for c, u, w in edges:
         row = [0] * g.order
-        row[head] += 1
-        row[tail[e]] -= 1
+        row[w] += 1
+        row[u] -= 1
         d1.append(row)
     rank_d1 = rational_rank(d1)
     # boundary map cycles -> edges, no tree restriction
@@ -316,7 +314,7 @@ def homology_from_full_complex(g):
             for u in cyc.vertices:
                 w = g.inv[col][u]
                 e = (col, u, w) if u < w else (col, w, u)
-                row[index[e]] += 1 if u == tail[e] else -1
+                row[index[e]] += 1 if u < w else -1
                 col = c1 + c2 - col
             rows.append(row)
     factors, rank_d2 = smith_normal_form(rows)
