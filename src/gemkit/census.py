@@ -32,7 +32,6 @@ from gemkit.data import CENSUS_FORMAT, TABLE1, Table1Row
 from gemkit.errors import CapExceededError, GemError
 from gemkit.graphs import (
     ColoredGraph,
-    MAX_LETTER_PAIRS,
     beats_entries,
     bipartition,
     canonical_code,
@@ -75,7 +74,7 @@ def enumerate_gems(order: int) -> Iterator[CensusEntry]:
             g = ColoredGraph._trusted(_block_maps(blocks))
             cand = blocks[0] + blocks[1] + blocks[2]
             if not beats_entries(g, cand):
-                code = _serialize_entries(cand, numeric=p > MAX_LETTER_PAIRS)
+                code = _serialize_entries(cand)
                 yield CensusEntry(code, order)
             return
         i, c = divmod(t, 3)

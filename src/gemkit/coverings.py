@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
-from operator import index
+from operator import index, mul
 from typing import Optional, Sequence
 
 from gemkit.errors import (
@@ -188,12 +188,14 @@ def find_admissible_cyclic_coverings(
     Gauge freedom is removed by forcing zero voltage on a fixed spanning
     tree, so distinct results are genuinely distinct coverings.  The zero-
     holonomy conditions on all bicolored cycles form an integer linear
-    system in the non-tree voltages, solved exactly through the Smith
-    normal form; solutions are enumerated in lexicographic order of the
-    solver's free coordinates and filtered for connectivity (their values
-    must generate Z_n).  Returns at most ``limit`` assignments (all of them
-    when ``limit`` is None); with a positive limit, an empty list means no
-    admissible connected covering of this degree exists.
+    system in the non-tree voltages, ``U A V = D`` in Smith normal form.
+    Its solutions mod n are the sums ``x = sum t_k (n / g_k) V[:, k]`` with
+    ``0 <= t_k < g_k = gcd(d_k, n)`` (``d_k = 0`` past the rank) over the k
+    with ``g_k > 1``, enumerated in lexicographic order of the ``t_k``.
+    Those whose values generate Z_n, so that the derived graph is
+    connected, are kept.  Returns at most ``limit`` assignments (all of
+    them when ``limit`` is None); with a positive limit, an empty list
+    means no admissible connected covering of this degree exists.
     """
     n = index(n)
     limit = None if limit is None else index(limit)
@@ -206,18 +208,14 @@ def find_admissible_cyclic_coverings(
     if limit == 0:
         return []
     rows, free = cycle_relation_rows(base)
-    m = len(free)
     factors, rank, V = snf_with_column_transform(rows)
-    counts = [gcd(d, n) for d in factors] + [n] * (m - rank)
-    steps = [n // g for g in counts[:rank]] + [1] * (m - rank)
+    counts = [gcd(d, n) for d in factors + (0,) * (len(free) - rank)]
+    kept = [k for k, g in enumerate(counts) if g > 1]
+    gens = [[row[k] * (n // counts[k]) for k in kept] for row in V]
     out: list[VoltageAssignment] = []
-    for combo in product(*(range(cnt) for cnt in counts)):
-        y = [t * s for t, s in zip(combo, steps)]
-        x = [sum(V[i][k] * y[k] for k in range(m)) % n for i in range(m)]
-        g = n
-        for val in x:
-            g = gcd(g, val)
-        if g != 1:
+    for combo in product(*(range(counts[k]) for k in kept)):
+        x = [sum(map(mul, combo, row)) % n for row in gens]
+        if gcd(n, *x) != 1:
             continue
         volt = [[0] * 4 for _ in range(base.order)]
         for (t, c), val in zip(free, x):

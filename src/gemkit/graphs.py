@@ -52,26 +52,8 @@ class ColoredGraph:
     __slots__ = ("order", "inv", "_record")
 
     def __init__(self, involutions: Sequence[Sequence[int]]):
-        inv = tuple(tuple(index(w) for w in m) for m in involutions)
-        if len(inv) != 4:
-            raise ValueError("expected 4 involutions, got %d" % len(inv))
-        n = len(inv[0])
-        if n < 2 or n % 2:
-            raise ValueError("order must be a positive even integer, got %d" % n)
-        for c, m in enumerate(inv):
-            if len(m) != n:
-                raise ValueError(
-                    "color %d involution has length %d, expected %d" % (c, len(m), n)
-                )
-            for v, w in enumerate(m):
-                if not 0 <= w < n:
-                    raise ValueError("color %d maps vertex %d out of range" % (c, v))
-                if w == v:
-                    raise ValueError("color %d has a fixed point at vertex %d" % (c, v))
-                if m[w] != v:
-                    raise ValueError("color %d map is not an involution at %d" % (c, v))
-        self.order = n
-        self.inv = inv
+        self.inv = _involutions(involutions, 4)
+        self.order = len(self.inv[0])
         self._record = None
 
     @classmethod
@@ -122,6 +104,28 @@ class ColoredGraph:
 
     def __repr__(self) -> str:
         return "ColoredGraph(order=%d)" % self.order
+
+
+def _involutions(maps: Sequence[Sequence[int]], count: int) -> tuple[tuple[int, ...], ...]:
+    """``maps`` as tuples, checked to be ``count`` fixed-point-free
+    involutions on ``0..n-1`` with n positive and even; else ``ValueError``."""
+    inv = tuple(tuple(index(w) for w in m) for m in maps)
+    if len(inv) != count:
+        raise ValueError("expected %d involutions, got %d" % (count, len(inv)))
+    n = len(inv[0])
+    if n < 2 or n % 2:
+        raise ValueError("order must be a positive even integer, got %d" % n)
+    for c, m in enumerate(inv):
+        if len(m) != n:
+            raise ValueError("map %d has length %d, expected %d" % (c, len(m), n))
+        for v, w in enumerate(m):
+            if not 0 <= w < n:
+                raise ValueError("map %d sends vertex %d out of range" % (c, v))
+            if w == v:
+                raise ValueError("map %d has a fixed point at vertex %d" % (c, v))
+            if m[w] != v:
+                raise ValueError("map %d is not an involution at %d" % (c, v))
+    return inv
 
 
 def _block_maps(blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -357,7 +361,11 @@ def _decode_entries(text: str) -> list[int]:
     return entries
 
 
-def _serialize_entries(entries: Sequence[int], numeric: bool) -> str:
+def _serialize_entries(entries: Sequence[int], numeric: Optional[bool] = None) -> str:
+    """Letters, or comma-separated integers when ``numeric`` (by default when
+    there are more than ``MAX_LETTER_PAIRS`` vertex pairs)."""
+    if numeric is None:
+        numeric = len(entries) > 3 * MAX_LETTER_PAIRS
     if numeric:
         return ",".join(str(j) for j in entries)
     return "".join(chr(ord("A") + j - 1) for j in entries)
@@ -451,9 +459,7 @@ def emit_code(
         m = g.inv[c]
         for i in range(1, p + 1):
             entries.append(pos_label[m[neg_vertex[i]]])
-    if numeric is None:
-        numeric = p > MAX_LETTER_PAIRS
-    elif not numeric and p > MAX_LETTER_PAIRS:
+    if numeric is not None and not numeric and p > MAX_LETTER_PAIRS:
         raise BadLengthError(
             "letter codes address at most %d vertex pairs" % MAX_LETTER_PAIRS
         )
@@ -540,8 +546,7 @@ def canonical_code(g: ColoredGraph) -> str:
         raise NotConnectedError("canonical_code requires a connected graph")
     if rec.side is None:
         raise NotBipartiteError("canonical_code requires a bipartite graph")
-    p = g.order // 2
-    return _serialize_entries(canonical_entries(g), numeric=p > MAX_LETTER_PAIRS)
+    return _serialize_entries(canonical_entries(g))
 
 
 def are_isomorphic(g1: ColoredGraph, g2: ColoredGraph) -> bool:

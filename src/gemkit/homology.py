@@ -5,7 +5,10 @@ All arithmetic uses Python integers, so there is no overflow at any size.
 Unit pivots are eliminated sparsely first; a dense elimination finishes what
 is left, choosing pivots of minimal absolute value to keep entries small.
 :func:`snf_with_column_transform` stays dense: the covering solver's
-matrices have few columns, and its ``V`` fixes the order of solutions.
+matrices have few columns.  It also returns the column transform ``V``;
+the solver enumerates its solutions as combinations of the columns of
+``V`` whose factor shares a divisor with the degree, so ``V`` fixes their
+order.
 """
 
 from __future__ import annotations
@@ -51,13 +54,13 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _snf(mat: Sequence[Sequence[int]], want_transform: bool):
+def _snf(mat: Sequence[Sequence[int]]):
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     Returns ``(factors, rank, V)`` where the factors are the positive
     diagonal entries in divisibility order and ``V`` is the accumulated
-    column transform (``None`` unless requested) with ``U * mat * V``
-    diagonal for some unimodular ``U``.
+    column transform, with ``U * mat * V`` diagonal for some unimodular
+    ``U``.
     """
     A = [[index(x) for x in row] for row in mat]
     nrows = len(A)
@@ -65,9 +68,7 @@ def _snf(mat: Sequence[Sequence[int]], want_transform: bool):
     for row in A:
         if len(row) != ncols:
             raise ValueError("matrix rows have unequal lengths")
-    V = None
-    if want_transform:
-        V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     factors = []
     t = 0
     while t < nrows and t < ncols:
@@ -88,11 +89,8 @@ def _snf(mat: Sequence[Sequence[int]], want_transform: bool):
         if pi != t:
             A[t], A[pi] = A[pi], A[t]
         if pj != t:
-            for row in A:
+            for row in A + V:
                 row[t], row[pj] = row[pj], row[t]
-            if V is not None:
-                for row in V:
-                    row[t], row[pj] = row[pj], row[t]
         while True:
             if A[t][t] < 0:
                 A[t] = [-x for x in A[t]]
@@ -121,15 +119,11 @@ def _snf(mat: Sequence[Sequence[int]], want_transform: bool):
                     if q:
                         for i in range(t, nrows):
                             A[i][j] -= q * A[i][t]
-                        if V is not None:
-                            for row in V:
-                                row[j] -= q * row[t]
+                        for row in V:
+                            row[j] -= q * row[t]
                     if A[t][j]:
-                        for row in A:
+                        for row in A + V:
                             row[t], row[j] = row[j], row[t]
-                        if V is not None:
-                            for row in V:
-                                row[t], row[j] = row[j], row[t]
                         row_clean = False
                         break
             if not row_clean:
@@ -207,7 +201,7 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], in
         units += 1
     keep = sorted(j for j, members in cols.items() if members)
     rest = [[row.get(j, 0) for j in keep] for row in rows if row]
-    factors, rank, _ = _snf(rest, want_transform=False)
+    factors, rank, _ = _snf(rest)
     return (1,) * units + factors, units + rank
 
 
@@ -218,7 +212,7 @@ def snf_with_column_transform(mat: Sequence[Sequence[int]]):
     unimodular ``U``, so ``x = V y`` converts solutions of the diagonal
     system back to the original variables (also modulo any n).
     """
-    return _snf(mat, want_transform=True)
+    return _snf(mat)
 
 
 def group_from_relations(num_generators: int, rows: Sequence[Sequence[int]]) -> HomologyGroup:

@@ -11,7 +11,6 @@ those links are exactly the boundary components.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 from typing import Optional, Sequence
 
 from gemkit.errors import NotConnectedError
@@ -22,6 +21,7 @@ from gemkit.graphs import (
     Residue,
     _components,
     _cycles,
+    _involutions,
     _structure,
     residues,
 )
@@ -113,17 +113,7 @@ def surface_type(involutions: Sequence[Sequence[int]]) -> SurfaceType:
     Raises ``ValueError`` unless the three maps are fixed-point-free
     involutions on one connected vertex set.
     """
-    maps = tuple(tuple(index(x) for x in m) for m in involutions)
-    if len(maps) != 3:
-        raise ValueError("expected 3 involutions, got %d" % len(maps))
-    m = len(maps[0])
-    if m % 2 or m == 0:
-        raise ValueError("3-colored graphs have positive even order")
-    for mp in maps:
-        if len(mp) != m or any(
-            not 0 <= mp[v] < m or mp[mp[v]] != v or mp[v] == v for v in range(m)
-        ):
-            raise ValueError("maps must be fixed-point-free involutions")
+    maps = _involutions(involutions, 3)
     cycles = [_cycles(maps[a], maps[b]) for a, b in ((0, 1), (0, 2), (1, 2))]
     surfaces = _surfaces(maps, cycles)
     if len(surfaces) != 1:
@@ -230,7 +220,7 @@ def is_six_regular(g: ColoredGraph) -> bool:
 
 @dataclass(frozen=True)
 class GemComplexityReport:
-    """Graph-size complexity data: exact for closed manifolds, a bound otherwise."""
+    """Graph-size complexity data: upper bounds read off one graph's order."""
 
     order: int
     closed: bool

@@ -7,7 +7,7 @@ isomorphism bucketing).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd
 
 from gemkit import (
@@ -20,6 +20,8 @@ from gemkit import (
     is_connected,
     verify_covering,
 )
+from gemkit.homology import snf_with_column_transform
+from gemkit.topology import cycle_relation_rows
 
 TABLE_CODES = tuple(row.code for row in TABLE1)
 ALL_BUNDLED_CODES = TABLE_CODES + COVERING_BASE_CODES
@@ -360,3 +362,32 @@ def reference_is_admissible(cm):
             if len(cyc) != base_len[cm.f[cyc.vertices[0]]]:
                 return False
     return True
+
+
+def reference_coverings(base, n, limit=None):
+    """The covering solver's former box enumeration, as an oracle for the
+    order of its solutions: every Smith normal form coordinate, the full
+    product ``x = V y`` and a gcd loop.  Returns the volt tables of at most
+    ``limit`` solutions (all when ``limit`` is None)."""
+    rows, free = cycle_relation_rows(base)
+    m = len(free)
+    factors, rank, V = snf_with_column_transform(rows)
+    counts = [gcd(d, n) for d in factors] + [n] * (m - rank)
+    steps = [n // g for g in counts[:rank]] + [1] * (m - rank)
+    out = []
+    for combo in product(*(range(cnt) for cnt in counts)):
+        y = [t * s for t, s in zip(combo, steps)]
+        x = [sum(V[i][k] * y[k] for k in range(m)) % n for i in range(m)]
+        g = n
+        for val in x:
+            g = gcd(g, val)
+        if g != 1:
+            continue
+        volt = [[0] * 4 for _ in range(base.order)]
+        for (t, c), val in zip(free, x):
+            volt[t][c] = val
+            volt[base.inv[c][t]][c] = -val % n
+        out.append(tuple(map(tuple, volt)))
+        if limit is not None and len(out) >= limit:
+            break
+    return out

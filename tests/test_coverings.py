@@ -33,6 +33,9 @@ from gemkit import (
 from helpers import (
     ALL_BUNDLED_CODES,
     bfs_tree,
+    random_bipartite_graph,
+    random_colored_graph,
+    reference_coverings,
     reference_is_admissible,
     surjective_hom_count,
 )
@@ -345,6 +348,39 @@ class TestSolver:
         assert len(boundary_profile(base)) <= len(profile) <= 2 * len(
             boundary_profile(base)
         )
+
+
+class TestSolverOrder:
+    """The solver against the former box enumeration over every Smith
+    normal form coordinate: the same tables in the same order."""
+
+    @staticmethod
+    def tables(base, n, limit=None):
+        return [va.volt for va in find_admissible_cyclic_coverings(base, n, limit)]
+
+    @pytest.mark.parametrize("code", BASE_CODES)
+    def test_covering_bases(self, code):
+        base = parse_code(code)
+        for n in range(1, 7):
+            assert self.tables(base, n) == reference_coverings(base, n)
+        for k in (1, 5):
+            assert self.tables(base, 20, k) == reference_coverings(base, 20, k)
+
+    def test_random_connected_graphs(self):
+        rng = random.Random(2024)
+        graphs = []
+        while len(graphs) < 60:
+            order = rng.randrange(2, 11, 2)
+            if len(graphs) % 2:
+                g = random_bipartite_graph(rng, order // 2)
+            else:
+                g = random_colored_graph(rng, order)
+            if is_connected(g):
+                graphs.append(g)
+        assert not all(is_bipartite(g) for g in graphs)
+        for g in graphs:
+            for n in range(2, 6):
+                assert self.tables(g, n) == reference_coverings(g, n)
 
 
 class TestComplexityBounds:

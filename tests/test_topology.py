@@ -160,6 +160,10 @@ class TestSurfaceClassifier:
         with pytest.raises(ValueError):
             # two disjoint double edges: disconnected
             surface_type([[1, 0, 3, 2], [1, 0, 3, 2], [1, 0, 3, 2]])
+        with pytest.raises(ValueError):
+            surface_type([[1, 2, 0], [1, 2, 0], [1, 2, 0]])  # odd order
+        with pytest.raises(ValueError):
+            surface_type([[1, 0, 3, 2], [1, 0], [1, 0, 3, 2]])  # unequal lengths
 
     @pytest.mark.parametrize("first", [[1.9, 0], ["1", 0]])
     def test_non_integer_entries_rejected(self, first):
