@@ -33,7 +33,6 @@ from gemkit.errors import CapExceededError, GemError
 from gemkit.graphs import (
     ColoredGraph,
     beats_entries,
-    bipartition,
     canonical_code,
     is_connected,
     parse_code,
@@ -202,19 +201,17 @@ def verify_table1(rows: Iterable[Table1Row] = TABLE1) -> Table1Report:
             continue
         if g.order != 14:
             problems.append("order %d != 14" % g.order)
-        if bipartition(g) is None:
-            problems.append("not bipartite")
         if not is_connected(g):
             problems.append("not connected")
         if not problems:
             report = invariant_report(g, name=row.name, code=row.code)
-            profile = boundary_profile(g)
-            if len(profile) != row.boundary_count:
+            boundary = report["boundary"]
+            if len(boundary) != row.boundary_count:
                 problems.append(
                     "%d boundary components, expected %d"
-                    % (len(profile), row.boundary_count)
+                    % (len(boundary), row.boundary_count)
                 )
-            if not profile.all_torus:
+            if not all(s["orientable"] and s["euler"] == 0 for s in boundary):
                 problems.append("boundary contains a non-torus component")
             if row.link_complement:
                 h1 = report["h1"]

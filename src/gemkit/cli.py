@@ -42,7 +42,6 @@ def read_records(path: str) -> list[tuple[Optional[str], str]]:
             lines = fh.read().splitlines()
     records = []
     for line in lines:
-        line = line.rstrip("\r")
         if not line.strip() or line.startswith("#"):
             continue
         if "\t" in line:
@@ -256,10 +255,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except GemError as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return CHECK_FAILED
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR
 

@@ -128,6 +128,14 @@ def _involutions(maps: Sequence[Sequence[int]], count: int) -> tuple[tuple[int, 
     return inv
 
 
+def _relabel(
+    maps: Sequence[Sequence[int]], order: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """The maps on the vertices of ``order``, with ``order[k]`` renamed ``k``."""
+    name = {v: k for k, v in enumerate(order)}
+    return tuple(tuple(name[m[v]] for v in order) for m in maps)
+
+
 def _block_maps(blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """The four involutions of :meth:`ColoredGraph.from_blocks`, unchecked."""
     b1, b2, b3 = blocks
@@ -183,11 +191,7 @@ class Residue:
 
     def induced_involutions(self) -> tuple[tuple[int, ...], ...]:
         """The three involutions restricted to the residue, reindexed 0..m-1."""
-        index = {v: k for k, v in enumerate(self.vertices)}
-        out = []
-        for c in self.colors:
-            out.append(tuple(index[self.graph.inv[c][v]] for v in self.vertices))
-        return tuple(out)
+        return _relabel([self.graph.inv[c] for c in self.colors], self.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +348,10 @@ def _decode_entries(text: str) -> list[int]:
         entries = []
         for token in text.split(","):
             token = token.strip()
-            try:
-                entries.append(int(token))
-            except ValueError:
-                raise BadCharError("token %r is not an integer" % token) from None
+            digits = token[1:] if token[:1] == "-" else token
+            if not (digits.isascii() and digits.isdigit()):
+                raise BadCharError("token %r is not an integer" % token)
+            entries.append(int(token))
         return entries
     entries = []
     for ch in text:
@@ -363,11 +367,15 @@ def _decode_entries(text: str) -> list[int]:
 
 def _serialize_entries(entries: Sequence[int], numeric: Optional[bool] = None) -> str:
     """Letters, or comma-separated integers when ``numeric`` (by default when
-    there are more than ``MAX_LETTER_PAIRS`` vertex pairs)."""
-    if numeric is None:
-        numeric = len(entries) > 3 * MAX_LETTER_PAIRS
-    if numeric:
+    there are more than ``MAX_LETTER_PAIRS`` vertex pairs, which letters
+    cannot address: forcing letters there is a ``BadLengthError``)."""
+    letters = len(entries) <= 3 * MAX_LETTER_PAIRS
+    if numeric or (numeric is None and not letters):
         return ",".join(str(j) for j in entries)
+    if not letters:
+        raise BadLengthError(
+            "letter codes address at most %d vertex pairs" % MAX_LETTER_PAIRS
+        )
     return "".join(chr(ord("A") + j - 1) for j in entries)
 
 
@@ -415,55 +423,33 @@ def emit_code(
 ) -> str:
     """Encode a bipartite graph under a vertex labeling by ``±1..±p``.
 
-    The labeling must put all negative labels on one bipartition class and
-    must give the color-0 partner of the vertex labeled ``-i`` the label
-    ``+i``.  By default letters are used when they suffice (p <= 26) and the
+    Every edge must join a negative and a positive label, and color 0 must
+    join ``-i`` to ``+i``, so that the code parses back to the relabeled
+    graph.  By default letters are used when they suffice (p <= 26) and the
     comma-separated numeric form otherwise; pass ``numeric`` to force one.
     """
-    side = bipartition(g)
-    if side is None:
+    if bipartition(g) is None:
         raise NotBipartiteError("only bipartite graphs have code strings")
     n = g.order
     p = n // 2
     if len(labels) != n:
         raise InvalidLabelingError("labeling has %d entries for order %d" % (len(labels), n))
-    neg_vertex = [-1] * (p + 1)
-    pos_label = [0] * n
+    # -i goes to slot i-1 and +i to slot p+i-1, the layout of parse_code
+    order = [-1] * n
     for v, lab in enumerate(labels):
         if not isinstance(lab, int) or lab == 0 or abs(lab) > p:
             raise InvalidLabelingError("label %r out of range at vertex %d" % (lab, v))
-        if lab < 0:
-            if neg_vertex[-lab] >= 0:
-                raise InvalidLabelingError("label %d used twice" % lab)
-            neg_vertex[-lab] = v
-        else:
-            if pos_label[v]:
-                raise InvalidLabelingError("vertex %d labeled twice" % v)
-            pos_label[v] = lab
-    if any(v < 0 for v in neg_vertex[1:]):
-        raise InvalidLabelingError("labeling is not a bijection onto ±1..±%d" % p)
-    seen_pos = sorted(l for l in pos_label if l)
-    if seen_pos != list(range(1, p + 1)):
-        raise InvalidLabelingError("labeling is not a bijection onto ±1..±%d" % p)
-    neg_side = side[neg_vertex[1]]
-    for i in range(1, p + 1):
-        v = neg_vertex[i]
-        if side[v] != neg_side:
-            raise InvalidLabelingError("negative labels span both bipartition classes")
-        if pos_label[g.inv[0][v]] != i:
-            raise InvalidLabelingError(
-                "color-0 partner of label -%d is not labeled +%d" % (i, i)
-            )
-    entries = []
-    for c in (1, 2, 3):
-        m = g.inv[c]
-        for i in range(1, p + 1):
-            entries.append(pos_label[m[neg_vertex[i]]])
-    if numeric is not None and not numeric and p > MAX_LETTER_PAIRS:
-        raise BadLengthError(
-            "letter codes address at most %d vertex pairs" % MAX_LETTER_PAIRS
+        k = -lab - 1 if lab < 0 else p + lab - 1
+        if order[k] >= 0:
+            raise InvalidLabelingError("label %d used twice" % lab)
+        order[k] = v
+    maps = _relabel(g.inv, order)
+    blocks = [[w - p + 1 for w in m[:p]] for m in maps[1:]]
+    if _block_maps(blocks) != maps:
+        raise InvalidLabelingError(
+            "an edge joins two labels of one sign, or color 0 does not join -i to +i"
         )
-    return _serialize_entries(entries, numeric)
+    return _serialize_entries([j for block in blocks for j in block], numeric)
 
 
 # ---------------------------------------------------------------------------
@@ -594,15 +580,10 @@ def are_isomorphic(g1: ColoredGraph, g2: ColoredGraph) -> bool:
 def relabeled(g: ColoredGraph, perm: Sequence[int]) -> ColoredGraph:
     """The same colored graph with vertex ``v`` renamed ``perm[v]``."""
     n = g.order
-    if sorted(perm) != list(range(n)):
+    # index() refuses a float such as 1.0, which would pass as a sort key
+    if sorted(map(index, perm)) != list(range(n)):
         raise ValueError("perm must be a permutation of 0..%d" % (n - 1))
-    maps = []
-    for c in COLORS:
-        m = [0] * n
-        for v in range(n):
-            m[perm[v]] = perm[g.inv[c][v]]
-        maps.append(m)
-    return ColoredGraph(maps)
+    return ColoredGraph(_relabel(g.inv, sorted(range(n), key=perm.__getitem__)))
 
 
 def recolored(g: ColoredGraph, sigma: Sequence[int]) -> ColoredGraph:

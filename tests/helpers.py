@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
+from typing import Optional, Sequence
 
 from gemkit import (
     COLOR_PAIRS,
@@ -20,6 +21,8 @@ from gemkit import (
     is_connected,
     verify_covering,
 )
+from gemkit.errors import BadLengthError, InvalidLabelingError, NotBipartiteError
+from gemkit.graphs import MAX_LETTER_PAIRS, _serialize_entries, bipartition
 from gemkit.homology import snf_with_column_transform
 from gemkit.topology import cycle_relation_rows
 
@@ -391,3 +394,64 @@ def reference_coverings(base, n, limit=None):
         if limit is not None and len(out) >= limit:
             break
     return out
+
+
+# The former emit_code, kept as an oracle: it states the label rules one by
+# one instead of checking that the code parses back.  It rejects labelings
+# of disconnected graphs whose components swap the two classes.
+def reference_emit_code(
+    g: ColoredGraph,
+    labels: Sequence[int],
+    numeric: Optional[bool] = None,
+) -> str:
+    """Encode a bipartite graph under a vertex labeling by ``±1..±p``.
+
+    The labeling must put all negative labels on one bipartition class and
+    must give the color-0 partner of the vertex labeled ``-i`` the label
+    ``+i``.  By default letters are used when they suffice (p <= 26) and the
+    comma-separated numeric form otherwise; pass ``numeric`` to force one.
+    """
+    side = bipartition(g)
+    if side is None:
+        raise NotBipartiteError("only bipartite graphs have code strings")
+    n = g.order
+    p = n // 2
+    if len(labels) != n:
+        raise InvalidLabelingError("labeling has %d entries for order %d" % (len(labels), n))
+    neg_vertex = [-1] * (p + 1)
+    pos_label = [0] * n
+    for v, lab in enumerate(labels):
+        if not isinstance(lab, int) or lab == 0 or abs(lab) > p:
+            raise InvalidLabelingError("label %r out of range at vertex %d" % (lab, v))
+        if lab < 0:
+            if neg_vertex[-lab] >= 0:
+                raise InvalidLabelingError("label %d used twice" % lab)
+            neg_vertex[-lab] = v
+        else:
+            if pos_label[v]:
+                raise InvalidLabelingError("vertex %d labeled twice" % v)
+            pos_label[v] = lab
+    if any(v < 0 for v in neg_vertex[1:]):
+        raise InvalidLabelingError("labeling is not a bijection onto ±1..±%d" % p)
+    seen_pos = sorted(l for l in pos_label if l)
+    if seen_pos != list(range(1, p + 1)):
+        raise InvalidLabelingError("labeling is not a bijection onto ±1..±%d" % p)
+    neg_side = side[neg_vertex[1]]
+    for i in range(1, p + 1):
+        v = neg_vertex[i]
+        if side[v] != neg_side:
+            raise InvalidLabelingError("negative labels span both bipartition classes")
+        if pos_label[g.inv[0][v]] != i:
+            raise InvalidLabelingError(
+                "color-0 partner of label -%d is not labeled +%d" % (i, i)
+            )
+    entries = []
+    for c in (1, 2, 3):
+        m = g.inv[c]
+        for i in range(1, p + 1):
+            entries.append(pos_label[m[neg_vertex[i]]])
+    if numeric is not None and not numeric and p > MAX_LETTER_PAIRS:
+        raise BadLengthError(
+            "letter codes address at most %d vertex pairs" % MAX_LETTER_PAIRS
+        )
+    return _serialize_entries(entries, numeric)

@@ -8,18 +8,30 @@ from gemkit import (
     BadCharError,
     BadLengthError,
     ColoredGraph,
+    GemError,
     InvalidLabelingError,
     NotBipartiteError,
     NotConnectedError,
     NotInvolutionError,
     are_isomorphic,
+    bipartition,
     canonical_code,
     emit_code,
     identity_labeling,
     is_connected,
     parse_code,
+    relabeled,
 )
-from helpers import ALL_BUNDLED_CODES, NON_BIPARTITE_INVS, TABLE_CODES
+from helpers import (
+    ALL_BUNDLED_CODES,
+    NON_BIPARTITE_INVS,
+    TABLE_CODES,
+    random_vertex_permutation,
+    reference_emit_code,
+)
+
+#: A valid numeric code with ten vertex pairs: every block is 1,2,...,10.
+NUMERIC_P10 = ",".join(map(str, list(range(1, 11)) * 3))
 
 
 class TestParse:
@@ -52,8 +64,6 @@ class TestParse:
         assert parse_code(" 2 ,1, 1,2 ,2,1 ") == parse_code("BAABBA")
 
     def test_bundled_codes_parse_connected_bipartite(self):
-        from gemkit import bipartition
-
         for code in ALL_BUNDLED_CODES:
             g = parse_code(code)
             assert g.order == len(code) * 2 // 3
@@ -128,6 +138,9 @@ class TestParseErrors:
             "A,B,C",  # non-integer tokens in numeric form
             "0,1,1",  # entry 0 is not a label
             "4,1,1",  # numeric entry out of range
+            NUMERIC_P10.replace("10", "1_0", 1),  # int() would read 10
+            NUMERIC_P10.replace("3", "\u0663", 1),  # Arabic-Indic digit three
+            "+1,1,1",  # only a minus sign may lead
         ],
     )
     def test_bad_char(self, text):
@@ -208,8 +221,13 @@ class TestEmit:
         base = parse_code("AAA")
         big, _ = derived_graph(VoltageAssignment(base, 27, [[0] * 4] * 2))
         # disconnected, but emission only needs bipartiteness
+        labels = list(identity_labeling(big.order))
         with pytest.raises(BadLengthError):
-            emit_code(big, identity_labeling(big.order), numeric=False)
+            emit_code(big, labels, numeric=False)
+        # a bad labeling is reported before the length
+        labels[0] = labels[1]
+        with pytest.raises(InvalidLabelingError):
+            emit_code(big, labels, numeric=False)
 
 
 class TestEmitErrors:
@@ -217,9 +235,11 @@ class TestEmitErrors:
         self.g = parse_code("BAABBA")
         self.identity = identity_labeling(4)
 
-    def test_non_bipartite_graph_has_no_code(self):
+    @pytest.mark.parametrize("labels", [(-1, -2, 1, 2), (-1, -1, 1, 2)])
+    def test_non_bipartite_graph_has_no_code(self, labels):
+        # reported before anything is wrong with the labeling
         with pytest.raises(NotBipartiteError):
-            emit_code(ColoredGraph(NON_BIPARTITE_INVS), self.identity)
+            emit_code(ColoredGraph(NON_BIPARTITE_INVS), labels)
 
     def test_wrong_length(self):
         with pytest.raises(InvalidLabelingError):
@@ -257,3 +277,116 @@ class TestCanonicalCodeRequirements:
     def test_non_bipartite_rejected(self):
         with pytest.raises(NotBipartiteError):
             canonical_code(ColoredGraph(NON_BIPARTITE_INVS))
+
+
+def component_roots(g):
+    """Each vertex's component, named by a vertex of it (depth-first)."""
+    root = [-1] * g.order
+    for r in range(g.order):
+        if root[r] < 0:
+            root[r] = r
+            stack = [r]
+            while stack:
+                v = stack.pop()
+                for m in g.inv:
+                    if root[m[v]] < 0:
+                        root[m[v]] = r
+                        stack.append(m[v])
+    return root
+
+
+def random_emit_graph(rng, p, split):
+    """A bipartite order-2p graph with scrambled vertices; with ``split`` it
+    is the disjoint union of two graphs of ``split`` and ``p - split`` pairs."""
+    blocks = [[], [], []]
+    for offset, size in ((0, split), (split, p - split)):
+        for block in blocks:
+            part = list(range(offset + 1, offset + size + 1))
+            rng.shuffle(part)
+            block += part
+    g = ColoredGraph.from_blocks(blocks)
+    return relabeled(g, random_vertex_permutation(rng, g.order))
+
+
+def random_valid_labeling(rng, g):
+    """Random names for the color-0 pairs; each component independently
+    chooses which bipartition class carries the negative labels."""
+    side = bipartition(g)
+    root = component_roots(g)
+    negative_side = {r: rng.randrange(2) for r in set(root)}
+    p = g.order // 2
+    names = iter(rng.sample(range(1, p + 1), p))
+    labels = [0] * g.order
+    for v in range(g.order):
+        if side[v] == negative_side[root[v]]:
+            i = next(names)
+            labels[v] = -i
+            labels[g.inv[0][v]] = i
+    return labels
+
+
+def broken_labelings(rng, labels):
+    """Invalid variants of a valid labeling: a zero, a label out of range, a
+    repeated negative or positive label, and a color-0 mismatch."""
+    p = len(labels) // 2
+    out = []
+    k = rng.randrange(len(labels))
+    out.append(labels[:k] + [0] + labels[k + 1 :])
+    out.append(labels[:k] + [rng.choice((-1, 1)) * (p + 1)] + labels[k + 1 :])
+    if p >= 2:
+        for sign in (-1, 1):
+            a, b = rng.sample([v for v, lab in enumerate(labels) if lab * sign > 0], 2)
+            repeated = list(labels)
+            repeated[b] = labels[a]
+            out.append(repeated)
+        a, b = rng.sample([v for v, lab in enumerate(labels) if lab > 0], 2)
+        mismatched = list(labels)
+        mismatched[a], mismatched[b] = labels[b], labels[a]
+        out.append(mismatched)
+    return out
+
+
+def emit_outcome(emit, g, labels, numeric):
+    """The code, or the class of the error raised."""
+    try:
+        return emit(g, labels, numeric)
+    except GemError as exc:
+        return type(exc)
+
+
+class TestEmitOracle:
+    """emit_code against the former rule-by-rule emitter."""
+
+    def test_agrees_with_reference(self):
+        rng = random.Random(2024)
+        differ = 0
+        for trial in range(1500):
+            p = rng.randint(1, 8)
+            split = rng.randint(1, p - 1) if p >= 2 and trial % 2 else p
+            g = random_emit_graph(rng, p, split)
+            connected = is_connected(g)
+            valid = random_valid_labeling(rng, g)
+            for labels in [valid] + broken_labelings(rng, valid):
+                numeric = rng.choice((None, True, False))
+                ref = emit_outcome(reference_emit_code, g, labels, numeric)
+                new = emit_outcome(emit_code, g, labels, numeric)
+                if labels is valid:
+                    assert isinstance(new, str)
+                if isinstance(new, str):
+                    perm = [-lab - 1 if lab < 0 else p + lab - 1 for lab in labels]
+                    assert parse_code(new) == relabeled(g, perm)
+                if new != ref:
+                    assert not connected
+                    assert ref is InvalidLabelingError
+                    differ += 1
+        # disconnected graphs whose components swap classes do occur
+        assert differ > 0
+
+    def test_disconnected_class_swap_accepted(self):
+        g = parse_code("ABABAB")
+        labels = [-1, 2, 1, -2]
+        with pytest.raises(InvalidLabelingError):
+            reference_emit_code(g, labels)
+        code = emit_code(g, labels)
+        assert code == "ABABAB"
+        assert parse_code(code) == relabeled(g, [0, 3, 2, 1])

@@ -256,6 +256,8 @@ class TestRelabelRecolor:
         g = parse_code("AAA")
         with pytest.raises(ValueError):
             relabeled(g, [0, 0])
+        with pytest.raises(TypeError):
+            relabeled(g, [1.0, 0.0])
         with pytest.raises(ValueError):
             recolored(g, [0, 1, 2, 2])
 
