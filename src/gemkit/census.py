@@ -1,25 +1,26 @@
 """Enumeration of connected bipartite graphs up to color isomorphism,
 classification, and verification of the bundled order-14 table.
 
-The generator walks code entries in discovery order (vertex pair by vertex
-pair, colors 1..3) and only extends prefixes that a breadth-first
-relabeling could actually produce: a new positive label may appear only
-when it is the smallest unused one, every pair must be discovered before
-its row is read, and each block stays a partial permutation.  Every
-canonical code is such a traversal code, so finishing with a reject of
+The generator builds one graph in place.  Color 0 joins vertex ``i`` to
+``p+i``; the search fills in the color-1, 2 and 3 partners of vertex 0, then
+of vertex 1, and so on, and backtracking reopens both ends of an edge (an
+open slot holds -1).  It only extends graphs that a breadth-first relabeling
+could actually produce: a new positive vertex may be joined only when it is
+the first undiscovered one, every pair must be discovered before its row is
+filled, and a vertex with a partner of some color takes no second one.
+Every canonical code is such a traversal code, so finishing with a reject of
 anything that some other start vertex or color permutation beats leaves
 exactly one representative per isomorphism class.
 
 Double-edge rule: a graph with a double edge has a canonical code starting
 with 1 (start on the double edge, with its two colors as 0 and 1).  So once
-the first entry is 2, the search skips every value that would close a double
-edge in the current row: ``i + 1`` at row ``i`` (a double edge with color
-0) and any label the row already used in an earlier block.  Only leaves
+vertex 0's color-1 partner is not its color-0 partner (the code starts with
+2), the search never joins a vertex to one it already meets.  Only leaves
 that would be rejected are lost; at order 10 that is 55,484 of 68,641.
 
-Trusted leaf: each leaf's blocks are permutations by construction, so its
-four involutions are built once and wrapped without the constructor's
-re-validation; a test checks each leaf against the validated build.
+Trusted leaf: the leaf's maps are involutions by construction, so a snapshot
+of them is wrapped without the constructor's re-validation; a test checks
+each leaf against the validated build.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from gemkit.graphs import (
     canonical_code,
     is_connected,
     parse_code,
-    _block_maps,
     _serialize_entries,
 )
 from gemkit.homology import HomologyGroup
@@ -64,33 +64,29 @@ def enumerate_gems(order: int) -> Iterator[CensusEntry]:
     if order < 2 or order % 2:
         raise ValueError("order must be a positive even integer")
     p = order // 2
-    entries = [0] * (3 * p)
-    used = [[False] * (p + 2) for _ in range(3)]
+    maps = [list(range(p, order)) + list(range(p))] + [[-1] * order for _ in range(3)]
 
     def extend(t: int, maxseen: int) -> Iterator[CensusEntry]:
         if t == 3 * p:
-            blocks = [entries[c::3] for c in range(3)]
-            g = ColoredGraph._trusted(_block_maps(blocks))
-            cand = blocks[0] + blocks[1] + blocks[2]
-            if not beats_entries(g, cand):
-                code = _serialize_entries(cand)
-                yield CensusEntry(code, order)
+            ceiling = [w - p + 1 for m in maps[1:] for w in m[:p]]
+            g = ColoredGraph._trusted(tuple(map(tuple, maps)))
+            if not beats_entries(g, ceiling):
+                yield CensusEntry(_serialize_entries(ceiling), order)
             return
         i, c = divmod(t, 3)
         if c == 0 and i and maxseen < i + 1:
             return  # pair i+1 was never discovered: the graph is disconnected
         top = maxseen + 1 if maxseen < p else p
-        block = used[c]
-        # after a first entry 2, label i+1 (color 0's) and the row's earlier
-        # labels would make a double edge, so the leaf would be beaten
-        double = {i + 1, *entries[t - c : t]} if t and entries[0] == 2 else ()
-        for j in range(1, top + 1):
-            if block[j] or j in double:
+        m = maps[c + 1]
+        # once the code starts with 2, a partner that i already meets would
+        # make a double edge, so the leaf would be beaten
+        joined = {mk[i] for mk in maps[: c + 1]} if maps[1][0] > p else ()
+        for w in range(p, p + top):
+            if m[w] >= 0 or w in joined:
                 continue
-            block[j] = True
-            entries[t] = j
-            yield from extend(t + 1, maxseen if j <= maxseen else j)
-            block[j] = False
+            m[i], m[w] = w, i
+            yield from extend(t + 1, maxseen if w < p + maxseen else w - p + 1)
+            m[i] = m[w] = -1
 
     return extend(0, 1)
 

@@ -351,7 +351,10 @@ def _decode_entries(text: str) -> list[int]:
             digits = token[1:] if token[:1] == "-" else token
             if not (digits.isascii() and digits.isdigit()):
                 raise BadCharError("token %r is not an integer" % token)
-            entries.append(int(token))
+            try:
+                entries.append(int(token))
+            except ValueError:  # more digits than int() may convert
+                raise BadCharError("token of %d digits is too long" % len(digits)) from None
         return entries
     entries = []
     for ch in text:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from gemkit import (
     COLOR_PAIRS,
@@ -21,8 +21,15 @@ from gemkit import (
     is_connected,
     verify_covering,
 )
+from gemkit.census import CensusEntry
 from gemkit.errors import BadLengthError, InvalidLabelingError, NotBipartiteError
-from gemkit.graphs import MAX_LETTER_PAIRS, _serialize_entries, bipartition
+from gemkit.graphs import (
+    MAX_LETTER_PAIRS,
+    _block_maps,
+    _serialize_entries,
+    beats_entries,
+    bipartition,
+)
 from gemkit.homology import snf_with_column_transform
 from gemkit.topology import cycle_relation_rows
 
@@ -278,6 +285,54 @@ def naive_census(order):
                 if is_connected(g):
                     seen.add(canonical_code(g))
     return seen
+
+
+# ---------------------------------------------------------------------------
+# former census generator
+# ---------------------------------------------------------------------------
+
+
+# The former enumerate_gems, kept as an oracle: it walks row-major code
+# entries with used-label flags and rebuilds each leaf's maps from its
+# blocks, and states the double-edge rule as label arithmetic.
+def reference_enumerate_gems(order: int) -> Iterator[CensusEntry]:
+    """Yield one entry per color-isomorphism class of the given order.
+
+    The census is of connected bipartite graphs; entries appear in
+    search order (sort by canonical code for the file format).
+    """
+    if order < 2 or order % 2:
+        raise ValueError("order must be a positive even integer")
+    p = order // 2
+    entries = [0] * (3 * p)
+    used = [[False] * (p + 2) for _ in range(3)]
+
+    def extend(t: int, maxseen: int) -> Iterator[CensusEntry]:
+        if t == 3 * p:
+            blocks = [entries[c::3] for c in range(3)]
+            g = ColoredGraph._trusted(_block_maps(blocks))
+            cand = blocks[0] + blocks[1] + blocks[2]
+            if not beats_entries(g, cand):
+                code = _serialize_entries(cand)
+                yield CensusEntry(code, order)
+            return
+        i, c = divmod(t, 3)
+        if c == 0 and i and maxseen < i + 1:
+            return  # pair i+1 was never discovered: the graph is disconnected
+        top = maxseen + 1 if maxseen < p else p
+        block = used[c]
+        # after a first entry 2, label i+1 (color 0's) and the row's earlier
+        # labels would make a double edge, so the leaf would be beaten
+        double = {i + 1, *entries[t - c : t]} if t and entries[0] == 2 else ()
+        for j in range(1, top + 1):
+            if block[j] or j in double:
+                continue
+            block[j] = True
+            entries[t] = j
+            yield from extend(t + 1, maxseen if j <= maxseen else j)
+            block[j] = False
+
+    return extend(0, 1)
 
 
 # ---------------------------------------------------------------------------

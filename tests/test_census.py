@@ -8,6 +8,7 @@ from itertools import permutations
 import pytest
 
 import gemkit.census as census_mod
+import helpers
 from gemkit import (
     CapExceededError,
     ColoredGraph,
@@ -30,6 +31,7 @@ from helpers import (
     automorphism_count,
     census_start_count,
     naive_census,
+    reference_enumerate_gems,
 )
 
 
@@ -124,6 +126,25 @@ class TestEnumerate:
             g = parse_code(code)
             total += Fraction(census_start_count(g), automorphism_count(g))
         assert total == len(leaves) == leaf_count
+
+    @pytest.mark.parametrize("order", [2, 4, 6, 8, 10])
+    def test_leaves_and_classes_match_former_generator(
+        self, census_leaves, monkeypatch, order
+    ):
+        # the in-place search hands the kernel the former search's leaves
+        # and yields its classes, both in the same order
+        want_leaves = []
+        real = helpers.beats_entries
+
+        def spy(g, ceiling):
+            want_leaves.append((g.inv, list(ceiling)))
+            return real(g, ceiling)
+
+        monkeypatch.setattr(helpers, "beats_entries", spy)
+        want = list(reference_enumerate_gems(order))
+        classes, leaves = census_leaves(order)
+        assert [(g.inv, ceiling) for g, ceiling in leaves] == want_leaves
+        assert [CensusEntry(code, order) for code in classes] == want
 
     @pytest.mark.parametrize("order, expected", [(8, 2), (10, 3)])
     def test_classes_without_double_edge_match_brute_force(

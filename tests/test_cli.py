@@ -94,6 +94,18 @@ class TestInvariants:
         assert err == "AB: BadLengthError: code has 2 entries, not divisible by 3\n"
 
 
+def test_huge_numeric_token_fails_only_its_record(capsys, tmp_path):
+    f = tmp_path / "big.txt"
+    f.write_text("ok\tAAA\nbig\t%s,1,1\nok2\tAAA\n" % ("9" * 5000), encoding="utf-8")
+    rc, out, err = run(capsys, ["validate", str(f)])
+    assert rc == 1
+    assert [line.split("\t")[0] for line in out.splitlines()] == ["OK", "ERROR", "OK"]
+    rc, out, err = run(capsys, ["invariants", str(f)])
+    assert rc == 1
+    assert [json.loads(line)["name"] for line in out.splitlines()] == ["ok", "ok2"]
+    assert err == "big: BadCharError: token of 5000 digits is too long\n"
+
+
 class TestCanon:
     def test_names_preserved(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("s3\tAAA\nBAABBA\n"))

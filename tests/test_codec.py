@@ -141,6 +141,7 @@ class TestParseErrors:
             NUMERIC_P10.replace("10", "1_0", 1),  # int() would read 10
             NUMERIC_P10.replace("3", "\u0663", 1),  # Arabic-Indic digit three
             "+1,1,1",  # only a minus sign may lead
+            "9" * 5000 + ",1,1",  # more digits than int() may convert
         ],
     )
     def test_bad_char(self, text):
