@@ -6,7 +6,8 @@ Code files are UTF-8 text, one code per line with an optional name prefix
 separated by a tab; ``#`` starts a comment line and blank lines are
 skipped.  ``-`` reads the standard input.  Data goes to stdout (JSON lines
 for invariants/cover/census records), diagnostics to stderr.  Exit status:
-0 success, 1 validation or verification failure, 2 usage or input errors.
+0 success, 1 a failed check or an invalid input code, 2 a usage error or an
+unreadable input file.
 """
 
 from __future__ import annotations
@@ -121,15 +122,10 @@ def _cmd_cover(args) -> int:
     try:
         base = parse_code(args.code)
     except GemError as exc:
-        print("bad base code: %s" % exc, file=sys.stderr)
-        return USAGE_ERROR
-    if base.order * args.degree > DERIVED_ORDER_CAP:
-        print(
-            "derived order %d exceeds the cap %d"
-            % (base.order * args.degree, DERIVED_ORDER_CAP),
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
+        raise ValueError("bad base code: %s" % exc) from None
+    order = base.order * args.degree
+    if order > DERIVED_ORDER_CAP:
+        raise ValueError("derived order %d exceeds the cap %d" % (order, DERIVED_ORDER_CAP))
     solutions = find_admissible_cyclic_coverings(base, args.degree, limit=args.limit)
     free = _structure(base, cycles=False).free
     records = []
@@ -154,25 +150,15 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    cap = census_mod.ENUMERATION_CAP
     if args.max_results is not None and args.max_results < 0:
-        print("--max-results must not be negative", file=sys.stderr)
-        return USAGE_ERROR
-    if args.order > census_mod.ENUMERATION_CAP:
-        print(
-            "order %d exceeds the enumeration cap %d"
-            % (args.order, census_mod.ENUMERATION_CAP),
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
-    if args.order >= 12 and not args.allow_large:
-        print(
-            "order %d is slow; pass --allow-large to run it" % args.order,
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
+        raise ValueError("--max-results must not be negative")
+    if args.order > cap:
+        raise ValueError("order %d exceeds the enumeration cap %d" % (args.order, cap))
+    if args.order == cap and not args.allow_large:
+        raise ValueError("order %d is slow; pass --allow-large to run it" % args.order)
     if args.order < 2 or args.order % 2:
-        print("order must be a positive even integer", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("order must be a positive even integer")
     # open --out before the search, so a bad path fails at once
     out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     with out as fh:

@@ -328,6 +328,7 @@ def bicolored_cycles(g: ColoredGraph, colors: Iterable[int]) -> list[BicoloredCy
 
 def residues(g: ColoredGraph, missing_color: int) -> list[Residue]:
     """Connected components after deleting all edges of one color."""
+    missing_color = index(missing_color)  # refuses a float color such as 1.0
     if missing_color not in COLORS:
         raise ValueError("missing_color must be one of %r" % (COLORS,))
     comp, _, bipartite, _ = _components([g.inv[c] for c in COLORS if c != missing_color])

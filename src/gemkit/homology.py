@@ -2,13 +2,13 @@
 abelian groups presented by their invariant factors.
 
 All arithmetic uses Python integers, so there is no overflow at any size.
-Unit pivots are eliminated sparsely first; a dense elimination finishes what
-is left, choosing pivots of minimal absolute value to keep entries small.
-:func:`snf_with_column_transform` stays dense: the covering solver's
-matrices have few columns.  It also returns the column transform ``V``;
-the solver enumerates its solutions as combinations of the columns of
-``V`` whose factor shares a divisor with the degree, so ``V`` fixes their
-order.
+:func:`smith_normal_form` eliminates unit pivots sparsely first and hands
+what is left to the dense elimination :func:`snf_with_column_transform`,
+which chooses pivots of minimal absolute value to keep entries small.  The
+covering solver calls the dense elimination directly, since its matrices
+have few columns, and uses the column transform ``V`` it also returns: the
+solutions are combinations of the columns of ``V`` whose factor shares a
+divisor with the degree, so ``V`` fixes their order.
 """
 
 from __future__ import annotations
@@ -54,13 +54,14 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _snf(mat: Sequence[Sequence[int]]):
+def snf_with_column_transform(mat: Sequence[Sequence[int]]):
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     Returns ``(factors, rank, V)`` where the factors are the positive
     diagonal entries in divisibility order and ``V`` is the accumulated
     column transform, with ``U * mat * V`` diagonal for some unimodular
-    ``U``.
+    ``U``.  So ``x = V y`` converts solutions of the diagonal system back
+    to the original variables (also modulo any n).
     """
     A = [[index(x) for x in row] for row in mat]
     nrows = len(A)
@@ -201,18 +202,8 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], in
         units += 1
     keep = sorted(j for j, members in cols.items() if members)
     rest = [[row.get(j, 0) for j in keep] for row in rows if row]
-    factors, rank, _ = _snf(rest)
+    factors, rank, _ = snf_with_column_transform(rest)
     return (1,) * units + factors, units + rank
-
-
-def snf_with_column_transform(mat: Sequence[Sequence[int]]):
-    """Like :func:`smith_normal_form` but also returns the column transform.
-
-    The returned unimodular ``V`` satisfies ``U * mat * V = D`` for some
-    unimodular ``U``, so ``x = V y`` converts solutions of the diagonal
-    system back to the original variables (also modulo any n).
-    """
-    return _snf(mat)
 
 
 def group_from_relations(num_generators: int, rows: Sequence[Sequence[int]]) -> HomologyGroup:

@@ -149,6 +149,8 @@ class TestResidues:
     def test_bad_color_rejected(self):
         with pytest.raises(ValueError):
             residues(parse_code("AAA"), 4)
+        with pytest.raises(TypeError):
+            residues(parse_code("AAA"), 1.0)
 
     def test_partition_and_induced_involutions(self):
         rng = random.Random(13)

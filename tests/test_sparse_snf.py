@@ -1,6 +1,6 @@
 """The sparse unit-pivot front phase of ``smith_normal_form`` against two
-independent Smith normal forms: the dense elimination alone (``_snf``) and
-``sympy``'s.
+independent Smith normal forms: the dense elimination alone
+(``snf_with_column_transform``) and ``sympy``'s.
 
 Invariant factors are unique, so all three must agree exactly on every
 input, from tiny edge cases to the relation matrices of derived graphs.
@@ -25,12 +25,12 @@ from gemkit import (
     smith_normal_form,
 )
 import gemkit.homology as homology
-from gemkit.homology import _snf
+from gemkit.homology import snf_with_column_transform
 from gemkit.topology import cycle_relation_rows
 
 
 def dense(mat):
-    factors, rank, _ = _snf(mat)
+    factors, rank, _ = snf_with_column_transform(mat)
     return factors, rank
 
 
@@ -131,9 +131,9 @@ def test_dense_phase_never_receives_a_unit(monkeypatch):
 
     def spy(mat):
         remainders.append(mat)
-        return _snf(mat)
+        return snf_with_column_transform(mat)
 
-    monkeypatch.setattr(homology, "_snf", spy)
+    monkeypatch.setattr(homology, "snf_with_column_transform", spy)
     rng = random.Random(11)
     for _ in range(200):
         smith_normal_form(unit_heavy_matrix(rng, rng.randint(1, 9), rng.randint(1, 9)))
