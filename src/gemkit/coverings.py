@@ -117,7 +117,7 @@ def derived_graph(va: VoltageAssignment) -> tuple[ColoredGraph, CoveringMap]:
             for i in range(n):
                 m[vn + i] = wn + (i + shift) % n
         maps.append(m)
-    total = ColoredGraph(maps)
+    total = ColoredGraph._trusted(tuple(map(tuple, maps)))
     f = tuple(x // n for x in range(big))
     return total, CoveringMap(total, base, f)
 

@@ -58,11 +58,10 @@ class ColoredGraph:
 
     @classmethod
     def _trusted(cls, inv: tuple[tuple[int, ...], ...]) -> "ColoredGraph":
-        """Wrap four involutions, as a tuple of tuples, without checking them.
-
-        Only for callers that built ``inv`` correctly by construction and
-        prove it in a test against the validating constructor.
-        """
+        """Wrap four involutions, a tuple of tuples, without checking them:
+        for :func:`parse_code`, the census leaves, :func:`derived_graph`,
+        :func:`relabeled` and :func:`recolored`, which build ``inv`` from
+        checked input and prove it in a test against ``ColoredGraph(inv)``."""
         g = object.__new__(cls)
         g.order = len(inv[0])
         g.inv = inv
@@ -77,6 +76,12 @@ class ColoredGraph:
         positive class; color 0 joins ``i`` to ``p+i`` and color ``c`` joins
         ``i`` to ``p + blocks[c-1][i] - 1`` (block values are 1-based).
         """
+        blocks = [[index(j) for j in block] for block in blocks]
+        if len(blocks) != 3:
+            raise ValueError("expected 3 blocks, got %d" % len(blocks))
+        for b, block in enumerate(blocks, 1):
+            if not block or sorted(block) != list(range(1, len(blocks[0]) + 1)):
+                raise ValueError("block %d is not a permutation of 1..p, p >= 1" % b)
         return cls(_block_maps(blocks))
 
     def neighbor(self, v: int, c: int) -> int:
@@ -554,24 +559,18 @@ def are_isomorphic(g1: ColoredGraph, g2: ColoredGraph) -> bool:
         target = tuple(g2.inv[c] for c in sigma)
         for w0 in range(n):
             phi = [-1] * n
-            used = [False] * n
             phi[0] = w0
-            used[w0] = True
             stack = [0]
             ok = True
+            # phi's image is closed under g2's maps, so onto the connected g2
             while stack and ok:
                 x = stack.pop()
                 fx = phi[x]
-                for c in COLORS:
-                    y = g1.inv[c][x]
-                    z = target[c][fx]
+                for m, t in zip(g1.inv, target):
+                    y, z = m[x], t[fx]
                     fy = phi[y]
                     if fy < 0:
-                        if used[z]:
-                            ok = False
-                            break
                         phi[y] = z
-                        used[z] = True
                         stack.append(y)
                     elif fy != z:
                         ok = False
@@ -587,11 +586,11 @@ def relabeled(g: ColoredGraph, perm: Sequence[int]) -> ColoredGraph:
     # index() refuses a float such as 1.0, which would pass as a sort key
     if sorted(map(index, perm)) != list(range(n)):
         raise ValueError("perm must be a permutation of 0..%d" % (n - 1))
-    return ColoredGraph(_relabel(g.inv, sorted(range(n), key=perm.__getitem__)))
+    return ColoredGraph._trusted(_relabel(g.inv, sorted(range(n), key=perm.__getitem__)))
 
 
 def recolored(g: ColoredGraph, sigma: Sequence[int]) -> ColoredGraph:
     """The same graph with new color ``c`` drawn from old color ``sigma[c]``."""
     if sorted(sigma) != list(COLORS):
         raise ValueError("sigma must be a permutation of %r" % (COLORS,))
-    return ColoredGraph([g.inv[sigma[c]] for c in COLORS])
+    return ColoredGraph._trusted(tuple(g.inv[sigma[c]] for c in COLORS))

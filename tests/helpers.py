@@ -22,7 +22,12 @@ from gemkit import (
     verify_covering,
 )
 from gemkit.census import CensusEntry
-from gemkit.errors import BadLengthError, InvalidLabelingError, NotBipartiteError
+from gemkit.errors import (
+    BadLengthError,
+    InvalidLabelingError,
+    NotBipartiteError,
+    NotConnectedError,
+)
 from gemkit.graphs import (
     MAX_LETTER_PAIRS,
     _block_maps,
@@ -333,6 +338,53 @@ def reference_enumerate_gems(order: int) -> Iterator[CensusEntry]:
             block[j] = False
 
     return extend(0, 1)
+
+
+# ---------------------------------------------------------------------------
+# former isomorphism search
+# ---------------------------------------------------------------------------
+
+
+# The former are_isomorphic, kept as an oracle: besides checking that the
+# map it grows commutes with every involution, it refuses to send two
+# vertices to one, a check the package now leaves to connectedness.
+def reference_are_isomorphic(g1: ColoredGraph, g2: ColoredGraph) -> bool:
+    """Whether some vertex bijection plus color permutation carries g1 to g2;
+    both inputs must be connected."""
+    if not is_connected(g1) or not is_connected(g2):
+        raise NotConnectedError("isomorphism testing requires connected graphs")
+    if g1.order != g2.order:
+        return False
+    n = g1.order
+    for sigma in permutations(range(4)):
+        target = tuple(g2.inv[c] for c in sigma)
+        for w0 in range(n):
+            phi = [-1] * n
+            used = [False] * n
+            phi[0] = w0
+            used[w0] = True
+            stack = [0]
+            ok = True
+            while stack and ok:
+                x = stack.pop()
+                fx = phi[x]
+                for c in range(4):
+                    y = g1.inv[c][x]
+                    z = target[c][fx]
+                    fy = phi[y]
+                    if fy < 0:
+                        if used[z]:
+                            ok = False
+                            break
+                        phi[y] = z
+                        used[z] = True
+                        stack.append(y)
+                    elif fy != z:
+                        ok = False
+                        break
+            if ok:
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

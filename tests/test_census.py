@@ -14,6 +14,7 @@ from gemkit import (
     ColoredGraph,
     HomologyGroup,
     TABLE1,
+    boundary_profile,
     build_census,
     canonical_code,
     classify,
@@ -248,6 +249,12 @@ class TestMinimalityProbe:
         with pytest.raises(CapExceededError):
             minimality_probe(ENUMERATION_CAP + 2, closed=True)
 
+    def test_no_non_torus_boundary_up_to_order_eight(self):
+        assert minimality_probe(8, all_torus=False) is None
+        for order in range(2, 9, 2):
+            for entry in enumerate_gems(order):
+                assert boundary_profile(parse_code(entry.canonical)).all_torus
+
 
 class TestVerifyTable1:
     def test_bundled_rows_all_pass(self):
@@ -277,6 +284,20 @@ class TestVerifyTable1:
         report = verify_table1([row])
         assert not report.ok
         assert any("H1" in p for p in report.rows[0].problems)
+
+    @pytest.mark.parametrize(
+        "code, problem",
+        [
+            ("DABCFEFEABDCCDEFAB", "order 12 != 14"),
+            ("ABCDEFGABCDEFGABCDEFG", "not connected"),
+            # the boundary is one genus-2 surface
+            ("BGEDCFAABFDEGCFGCBDAE", "boundary contains a non-torus component"),
+        ],
+    )
+    def test_bad_graph_reported(self, code, problem):
+        report = verify_table1([Table1Row("bad", code, 1, None, False)])
+        assert not report.ok
+        assert problem in report.rows[0].problems
 
     def test_duplicate_codes_flagged(self):
         report = verify_table1([TABLE1[0], TABLE1[0]._replace(name="copy")])

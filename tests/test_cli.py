@@ -293,6 +293,21 @@ class TestTable1:
         assert all(ln.startswith("PASS\t") for ln in lines[:34])
         assert lines[34] == "canonical codes distinct: yes"
 
+    def test_failed_row(self, capsys, monkeypatch):
+        import gemkit.census as census_mod
+        from gemkit.data import TABLE1
+
+        real = census_mod.verify_table1
+        bad = TABLE1[0]._replace(boundary_count=3)
+        monkeypatch.setattr(census_mod, "verify_table1", lambda: real([bad]))
+        rc, out, _ = run(capsys, ["table1"])
+        assert rc == 1
+        assert out == (
+            "FAIL\t%s\t2 boundary components, expected 3; "
+            "H1 is not free of rank 3: {'rank': 2, 'torsion': []}\n"
+            "canonical codes distinct: yes\n" % bad.name
+        )
+
 
 class TestEntryPoints:
     def test_module_and_console_entry(self, capsys, monkeypatch):
@@ -323,6 +338,23 @@ class TestEntryPoints:
             env=SUBPROCESS_ENV,
         )
         assert proc.stdout == "False False\n"
+
+    def test_closed_pipe_exits_141_without_traceback(self):
+        import subprocess
+
+        # order 10 prints about 85 KB, more than a pipe buffer holds, so the
+        # child is still writing when the read end closes
+        with subprocess.Popen(
+            [sys.executable, "-m", "gemkit", "census", "--order", "10"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=SUBPROCESS_ENV,
+        ) as proc:
+            assert proc.stdout.readline() == b"#gemkit-census v1\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 141
+        assert err == b""
 
     def test_broken_pipe_exits_quietly(self):
         import subprocess

@@ -146,6 +146,36 @@ class TestDerivedGraph:
                     assert sorted(got) == sorted(expected)
 
 
+class TestTrustedDerivedGraph:
+    """``derived_graph`` wraps its maps unchecked: each total graph must
+    equal the validated build of the same maps."""
+
+    @pytest.mark.parametrize("code", BASE_CODES)
+    def test_solver_covers(self, code):
+        base = parse_code(code)
+        for n in range(2, 7):
+            for va in find_admissible_cyclic_coverings(base, n, limit=3):
+                total, _ = derived_graph(va)
+                assert total == ColoredGraph(total.inv)
+
+    def test_random_tables_over_random_bases(self):
+        rng = random.Random(79)
+        bases = []
+        while len(bases) < 24:
+            order = rng.randrange(2, 13, 2)
+            if len(bases) % 2:
+                g = random_bipartite_graph(rng, order // 2)
+            else:
+                g = random_colored_graph(rng, order)
+            if is_connected(g):
+                bases.append(g)
+        assert not all(is_bipartite(g) for g in bases)
+        for base in bases:
+            for n in range(1, 6):
+                total, _ = derived_graph(random_voltage(rng, base, n))
+                assert total == ColoredGraph(total.inv)
+
+
 class TestVerifyCovering:
     def test_adjacency_violation_detected(self):
         total = parse_code("ABABAB")  # two components: {0,2} and {1,3}

@@ -1,18 +1,23 @@
 """Graph data model, bicolored cycles, residues, isomorphism, canonical form."""
 
 import random
+from itertools import permutations
 
 import pytest
 
 from gemkit import (
     COLOR_PAIRS,
     COLORS,
+    COVERING_BASE_CODES,
     ColoredGraph,
     NotConnectedError,
     are_isomorphic,
     bicolored_cycles,
     bipartition,
     canonical_code,
+    derived_graph,
+    enumerate_gems,
+    find_admissible_cyclic_coverings,
     is_bipartite,
     is_connected,
     parse_code,
@@ -29,6 +34,7 @@ from helpers import (
     random_color_permutation,
     random_colored_graph,
     random_vertex_permutation,
+    reference_are_isomorphic,
 )
 
 
@@ -262,6 +268,110 @@ class TestRelabelRecolor:
             relabeled(g, [1.0, 0.0])
         with pytest.raises(ValueError):
             recolored(g, [0, 1, 2, 2])
+
+
+class TestFromBlocks:
+    @pytest.mark.parametrize(
+        "blocks, bad",
+        [
+            ([[5], [1], [1]], 1),
+            ([[2, 1], [1, 2], [3, 1]], 3),
+            ([[0], [1], [1]], 1),
+            ([[1, 2], [1, 1], [2, 1]], 2),
+            ([[1, 2], [1], [2, 1]], 2),
+            ([[], [], []], 1),
+        ],
+    )
+    def test_bad_block_is_named(self, blocks, bad):
+        with pytest.raises(ValueError, match="^block %d " % bad):
+            ColoredGraph.from_blocks(blocks)
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_block_count(self, count):
+        with pytest.raises(ValueError, match="expected 3 blocks"):
+            ColoredGraph.from_blocks([[1]] * count)
+
+    def test_float_entry_is_type_error(self):
+        with pytest.raises(TypeError):
+            ColoredGraph.from_blocks([[1.0], [1], [1]])
+
+
+class TestTrustedBuilds:
+    """``relabeled`` and ``recolored`` wrap their maps unchecked: each result
+    must equal the validated build of the same maps."""
+
+    @staticmethod
+    def graphs():
+        rng = random.Random(53)
+        out = [parse_code(code) for code in ALL_BUNDLED_CODES[::4]]
+        out.append(ColoredGraph(NON_BIPARTITE_INVS))
+        out += [random_colored_graph(rng, n) for n in (2, 6, 10, 14)]
+        return out
+
+    def test_relabeled(self):
+        rng = random.Random(59)
+        for g in self.graphs():
+            for _ in range(5):
+                h = relabeled(g, random_vertex_permutation(rng, g.order))
+                assert h == ColoredGraph(h.inv)
+
+    def test_recolored_by_all_24_permutations(self):
+        for g in self.graphs():
+            for sigma in permutations(COLORS):
+                h = recolored(g, sigma)
+                assert h == ColoredGraph(h.inv)
+
+
+class TestIsomorphismAgainstFormerSearch:
+    """``are_isomorphic`` keeps no injectivity check; the former search,
+    which did, must give the same verdict on every pair."""
+
+    @staticmethod
+    def agree(graphs):
+        verdicts = set()
+        for i, g in enumerate(graphs):
+            for h in graphs[i:]:
+                verdict = are_isomorphic(g, h)
+                assert verdict == reference_are_isomorphic(g, h)
+                assert verdict == are_isomorphic(h, g)
+                verdicts.add(verdict)
+        return verdicts
+
+    def test_census_classes(self):
+        small = [parse_code(e.canonical) for n in (2, 4, 6) for e in enumerate_gems(n)]
+        assert self.agree(small) == {False, True}
+        rng = random.Random(61)
+        sample = rng.sample([parse_code(e.canonical) for e in enumerate_gems(8)], 20)
+        sample += [relabeled(g, random_vertex_permutation(rng, 8)) for g in sample[:5]]
+        assert self.agree(sample) == {False, True}
+
+    def test_random_non_bipartite_graphs(self):
+        rng = random.Random(67)
+        verdicts = set()
+        # order 2 has one graph, which is bipartite
+        for n in range(4, 13, 2):
+            graphs = []
+            while len(graphs) < 4:
+                g = random_colored_graph(rng, n)
+                if is_connected(g) and not is_bipartite(g):
+                    graphs.append(g)
+            for g in graphs[:2]:
+                graphs.append(relabeled(g, random_vertex_permutation(rng, n)))
+                graphs.append(recolored(g, random_color_permutation(rng)))
+            verdicts |= self.agree(graphs)
+        assert verdicts == {False, True}
+
+    @pytest.mark.parametrize("code", COVERING_BASE_CODES)
+    def test_derived_graphs(self, code):
+        rng = random.Random(71)
+        base = parse_code(code)
+        graphs = []
+        for n in range(2, 6):
+            for va in find_admissible_cyclic_coverings(base, n, limit=3):
+                total, _ = derived_graph(va)
+                perm = random_vertex_permutation(rng, total.order)
+                graphs += [total, relabeled(total, perm)]
+        assert self.agree(graphs) == {False, True}
 
 
 class TestIsomorphism:

@@ -129,6 +129,11 @@ class TestColumnTransform:
         with pytest.raises(TypeError):
             snf_with_column_transform([[2.5]])
 
+    def test_ragged_rejected(self):
+        # smith_normal_form checks first, so only a direct call reaches this
+        with pytest.raises(ValueError):
+            snf_with_column_transform([[1, 2], [3]])
+
     def test_transform_properties(self):
         rng = random.Random(107)
         for _ in range(100):
