@@ -21,6 +21,12 @@ that would be rejected are lost; at order 10 that is 55,484 of 68,641.
 Trusted leaf: the leaf's maps are involutions by construction, so a snapshot
 of them is wrapped without the constructor's re-validation; a test checks
 each leaf against the validated build.
+
+Rejection: a leaf's ceiling starts with 1 or 2.  When it starts with 1, or
+the leaf has a double edge, ``beats_entries`` tries only the starts on a
+double edge: every other start gives a list starting with 2, which cannot
+sort below a ceiling starting with 1 nor below the list a double edge gives,
+so the verdict is the one every start would give.
 """
 
 from __future__ import annotations
@@ -99,14 +105,18 @@ def classify(entry: CensusEntry) -> CensusEntry:
     )
 
 
-def build_census(order: int) -> list[CensusEntry]:
-    """The full classified census of one order, sorted by canonical code."""
+def build_census(order: int, *, classified: bool = True) -> list[CensusEntry]:
+    """The full classified census of one order, sorted by canonical code.
+
+    With ``classified`` false the entries carry no invariants, for a caller
+    that classifies only those it keeps (``gemkit census --max-results``).
+    """
     if order > ENUMERATION_CAP:
         raise CapExceededError(
             "order %d exceeds the enumeration cap %d" % (order, ENUMERATION_CAP)
         )
     entries = sorted(enumerate_gems(order), key=lambda e: e.canonical)
-    return [classify(e) for e in entries]
+    return [classify(e) for e in entries] if classified else entries
 
 
 def write_census(fh: IO[str], entries: Iterable[CensusEntry], order: int) -> None:

@@ -162,10 +162,10 @@ def _cmd_census(args) -> int:
     # open --out before the search, so a bad path fails at once
     out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     with out as fh:
-        entries = census_mod.build_census(args.order)
-        if args.max_results is not None:
-            entries = entries[: args.max_results]
-        census_mod.write_census(fh, entries, args.order)
+        entries = census_mod.build_census(args.order, classified=False)
+        # classify only the entries kept, one at a time as each is written
+        kept = map(census_mod.classify, entries[: args.max_results])
+        census_mod.write_census(fh, kept, args.order)
     return 0
 
 

@@ -118,6 +118,7 @@ def derived_graph(va: VoltageAssignment) -> tuple[ColoredGraph, CoveringMap]:
                 m[vn + i] = wn + (i + shift) % n
         maps.append(m)
     total = ColoredGraph._trusted(tuple(map(tuple, maps)))
+    total._deck = n  # (v, i) -> (v, i + 1) is an automorphism: a kernel hint
     f = tuple(x // n for x in range(big))
     return total, CoveringMap(total, base, f)
 

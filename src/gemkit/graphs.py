@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import permutations
-from operator import index
+from operator import eq, index
 from typing import Iterable, Optional, Sequence
 
 from gemkit.errors import (
@@ -49,23 +49,29 @@ class ColoredGraph:
     package treat them as values.
     """
 
-    __slots__ = ("order", "inv", "_record")
+    __slots__ = ("order", "inv", "_record", "_deck")
 
     def __init__(self, involutions: Sequence[Sequence[int]]):
         self.inv = _involutions(involutions, 4)
         self.order = len(self.inv[0])
         self._record = None
+        self._deck = 1
 
     @classmethod
     def _trusted(cls, inv: tuple[tuple[int, ...], ...]) -> "ColoredGraph":
         """Wrap four involutions, a tuple of tuples, without checking them:
         for :func:`parse_code`, the census leaves, :func:`derived_graph`,
         :func:`relabeled` and :func:`recolored`, which build ``inv`` from
-        checked input and prove it in a test against ``ColoredGraph(inv)``."""
+        checked input and prove it in a test against ``ColoredGraph(inv)``.
+
+        The result carries no deck hint (``_deck`` is 1), so the canonical
+        kernel tries every start; only :func:`derived_graph` sets the hint,
+        to its degree n, after wrapping.  Equality and hashing ignore it."""
         g = object.__new__(cls)
         g.order = len(inv[0])
         g.inv = inv
         g._record = None
+        g._deck = 1
         return g
 
     @classmethod
@@ -473,13 +479,22 @@ def _least_traversal(g: ColoredGraph, ceiling: list[int], first: bool):
     permutation.  Its block-1 entries come out one per step, so it is dropped
     once that prefix passes the ceiling; if it ends below, it becomes the
     ceiling (with ``first`` it is returned at once, unfinished).
+
+    Starts that cannot win are skipped: off fiber 0 of a derived graph (the
+    deck map is an automorphism), and, when a winner's entry 0 must be 1 (a
+    double edge exists or the ceiling starts with 1), those where colors
+    sigma0 and sigma1 do not join the start to one vertex.
     """
     p = g.order // 2
     best = None
+    starts = range(0, 2 * p, g._deck)
+    double = ceiling[0] == 1 or any(
+        any(map(eq, g.inv[a], g.inv[b])) for a, b in COLOR_PAIRS
+    )
     for sigma in permutations(COLORS):
         inv0, inv1, inv2, inv3 = (g.inv[c] for c in sigma)
         rest = ((p, inv2), (2 * p, inv3))
-        for start in range(2 * p):
+        for start in [s for s in starts if inv0[s] == inv1[s]] if double else starts:
             pos_label = [0] * (2 * p)
             pos_label[inv0[start]] = 1
             neg_vertex = [0, start] + [0] * (p - 1)
@@ -535,6 +550,11 @@ def canonical_code(g: ColoredGraph) -> str:
     Minimizes over the breadth-first relabelings from every start vertex
     combined with all 24 color permutations.  Two connected bipartite
     graphs are color-isomorphic exactly when their canonical codes agree.
+    The kernel skips only starts that cannot give a smaller list: on a
+    derived graph, all but fiber 0 (the deck map is an automorphism, so
+    the other fibers repeat its lists), and when the graph has a double
+    edge, every start whose first two permuted colors do not double its
+    edge (those lists begin with 2, the minimum with 1).
     """
     rec = _structure(g, cycles=False)
     if not rec.connected:

@@ -182,6 +182,13 @@ class TestBuildCensus:
             assert e.invariants["code"] == e.canonical
             assert e.invariants["order"] == 6
 
+    def test_unclassified_is_the_same_census_without_invariants(self):
+        bare = build_census(6, classified=False)
+        assert all(e.invariants is None for e in bare)
+        assert [classify(e) for e in bare] == build_census(6)
+        with pytest.raises(CapExceededError):
+            build_census(ENUMERATION_CAP + 2, classified=False)
+
     def test_enumeration_leaves_entries_unclassified(self):
         entries = list(enumerate_gems(4))
         assert entries and all(e.invariants is None for e in entries)

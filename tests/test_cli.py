@@ -267,6 +267,22 @@ class TestCensus:
         assert rc == 0
         assert len(out.splitlines()) == 4
 
+    def test_max_results_classifies_only_what_it_writes(self, capsys, monkeypatch):
+        import gemkit.census as census_mod
+
+        real, calls = census_mod.classify, []
+
+        def counted(entry):
+            calls.append(entry.canonical)
+            return real(entry)
+
+        monkeypatch.setattr(census_mod, "classify", counted)
+        rc, out, _ = run(capsys, ["census", "--order", "8", "--max-results", "3"])
+        assert rc == 0
+        written = [ln.split("\t")[0] for ln in out.splitlines()[3:]]
+        assert calls == written and len(calls) == 3
+        assert written == sorted(e.canonical for e in census_mod.enumerate_gems(8))[:3]
+
     def test_negative_max_results_is_usage_error(self, capsys):
         rc, out, err = run(capsys, ["census", "--order", "6", "--max-results", "-1"])
         assert rc == 2 and out == "" and "--max-results" in err
