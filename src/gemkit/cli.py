@@ -128,24 +128,21 @@ def _cmd_cover(args) -> int:
         raise ValueError("derived order %d exceeds the cap %d" % (order, DERIVED_ORDER_CAP))
     solutions = find_admissible_cyclic_coverings(base, args.degree, limit=args.limit)
     free = _structure(base, cycles=False).free
-    records = []
-    for va in solutions:
+    # one JSON object, written record by record as each is computed
+    out = sys.stdout
+    out.write('{"base_code":%s,"n":%d,"solutions":[' % (_json_line(args.code), args.degree))
+    for i, va in enumerate(solutions):
         total, cm = derived_graph(va)
         report = invariant_report(total)
-        records.append(
-            {
-                "voltages": [[t, c, va.volt[t][c]] for t, c in free],
-                "derived_code": canonical_code(total),
-                "admissible": is_admissible(cm),
-                "boundary": report["boundary"],
-                "h1": report["h1"],
-            }
-        )
-    print(
-        _json_line(
-            {"base_code": args.code, "n": args.degree, "solutions": records}
-        )
-    )
+        record = {
+            "voltages": [[t, c, va.volt[t][c]] for t, c in free],
+            "derived_code": canonical_code(total),
+            "admissible": is_admissible(cm),
+            "boundary": report["boundary"],
+            "h1": report["h1"],
+        }
+        out.write(("," if i else "") + _json_line(record))
+    out.write("]}\n")
     return 0
 
 

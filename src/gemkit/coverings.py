@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
-from operator import index, mul
+from operator import index
 from typing import Optional, Sequence
 
 from gemkit.errors import (
@@ -60,6 +60,18 @@ class VoltageAssignment:
         self.base = base
         self.n = n
         self.volt = table
+
+    @classmethod
+    def _trusted(cls, base: ColoredGraph, n: int, table: tuple) -> "VoltageAssignment":
+        """Wrap a table of 4-tuples, reduced mod n and antisymmetric, unchecked.
+        Its one caller is :func:`find_admissible_cyclic_coverings`, and the
+        test ``TestTrustedVoltageTable`` proves each of its results equal to
+        the validating build ``VoltageAssignment(base, n, va.volt)``."""
+        va = object.__new__(cls)
+        va.base = base
+        va.n = n
+        va.volt = table
+        return va
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -194,8 +206,9 @@ def find_admissible_cyclic_coverings(
     ``0 <= t_k < g_k = gcd(d_k, n)`` (``d_k = 0`` past the rank) over the k
     with ``g_k > 1``, enumerated in lexicographic order of the ``t_k``.
     Those whose values generate Z_n, so that the derived graph is
-    connected, are kept.  Returns at most ``limit`` assignments (all of
-    them when ``limit`` is None); with a positive limit, an empty list
+    connected, are kept, wrapped without re-validation (the tables are
+    built reduced and antisymmetric).  Returns at most ``limit`` of them
+    (all when ``limit`` is None); with a positive limit, an empty list
     means no admissible connected covering of this degree exists.
     """
     n = index(n)
@@ -212,17 +225,22 @@ def find_admissible_cyclic_coverings(
     factors, rank, V = snf_with_column_transform(rows)
     counts = [gcd(d, n) for d in factors + (0,) * (len(free) - rank)]
     kept = [k for k, g in enumerate(counts) if g > 1]
-    gens = [[row[k] * (n // counts[k]) for k in kept] for row in V]
+    mults = [
+        [tuple(t * (n // counts[k]) * row[k] % n for row in V) for t in range(counts[k])]
+        for k in kept
+    ]
+    # each free dart and its reverse, as positions in the flat order x 4 table
+    pos = [(4 * t + c, 4 * base.inv[c][t] + c) for t, c in free]
+    flat = [0] * (4 * base.order)
     out: list[VoltageAssignment] = []
-    for combo in product(*(range(counts[k]) for k in kept)):
-        x = [sum(map(mul, combo, row)) % n for row in gens]
+    for chosen in product(*mults):
+        x = [s % n for s in map(sum, zip(*chosen))]
         if gcd(n, *x) != 1:
             continue
-        volt = [[0] * 4 for _ in range(base.order)]
-        for (t, c), val in zip(free, x):
-            volt[t][c] = val
-            volt[base.inv[c][t]][c] = -val % n
-        out.append(VoltageAssignment(base, n, volt))
+        for (p, q), val in zip(pos, x):
+            flat[p] = val
+            flat[q] = -val % n
+        out.append(VoltageAssignment._trusted(base, n, tuple(zip(*[iter(flat)] * 4))))
         if limit is not None and len(out) >= limit:
             break
     return out

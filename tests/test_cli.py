@@ -188,6 +188,27 @@ class TestCover:
         )
         assert rc == 2 and out == "" and "negative" in err
 
+    def test_records_stream_as_computed(self, monkeypatch):
+        import gemkit.cli as cli
+
+        buf = io.StringIO()
+        seen = []
+        build = cli.derived_graph
+
+        def spy(va):
+            seen.append(buf.getvalue())
+            return build(va)
+
+        monkeypatch.setattr(sys, "stdout", buf)
+        monkeypatch.setattr(cli, "derived_graph", spy)
+        rc = main(["cover", "--code", BASE1, "--degree", "3", "--limit", "2"])
+        assert rc == 0 and len(seen) == 2
+        head = '{"base_code":"%s","n":3,"solutions":[' % BASE1
+        first = json.dumps(json.loads(buf.getvalue())["solutions"][0], separators=(",", ":"))
+        # the first record is on stdout before the second graph is built
+        assert seen == [head, head + first]
+        assert buf.getvalue().endswith("}]}\n")
+
     def test_cap_admits_every_documented_degree(self):
         from gemkit.coverings import DERIVED_ORDER_CAP
 

@@ -7,6 +7,7 @@ import pytest
 
 from gemkit import (
     COLOR_PAIRS,
+    COVERING_BASE_CODES,
     ColoredGraph,
     ComplexityBounds,
     CoveringMap,
@@ -411,6 +412,27 @@ class TestSolverOrder:
         for g in graphs:
             for n in range(2, 6):
                 assert self.tables(g, n) == reference_coverings(g, n)
+
+
+class TestTrustedVoltageTable:
+    """The solver wraps its tables unchecked: each result must equal the
+    validating build of the same table, so the skipped checks would pass."""
+
+    @pytest.mark.parametrize("code", ("AAA",) + COVERING_BASE_CODES)
+    def test_solver_tables_pass_validation(self, code):
+        base = parse_code(code)
+        for n in range(1, 9):
+            found = find_admissible_cyclic_coverings(base, n, limit=None)
+            for va in found:
+                checked = VoltageAssignment(base, n, va.volt)
+                assert va == checked and hash(va) == hash(checked)
+                assert type(va.volt) is tuple and len(va.volt) == base.order
+                for row in va.volt:
+                    assert type(row) is tuple and len(row) == 4
+                    assert all(type(x) is int and 0 <= x < n for x in row)
+            if n == 1:
+                # no generator is kept: the one table is all zeros
+                assert [va.volt for va in found] == [((0,) * 4,) * base.order]
 
 
 class TestComplexityBounds:
