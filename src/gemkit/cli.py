@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import gemkit.census as census_mod
 from gemkit.coverings import (
@@ -34,23 +34,15 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
-def read_records(path: str) -> list[tuple[Optional[str], str]]:
-    """Parse a code file into (name, code) records."""
-    if path == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    records = []
-    for line in lines:
-        if not line.strip() or line.startswith("#"):
-            continue
-        if "\t" in line:
-            name, code = line.split("\t", 1)
-            records.append((name, code))
-        else:
-            records.append((None, line))
-    return records
+def read_records(path: str) -> Iterator[tuple[Optional[str], str]]:
+    """Parse a code file into (name, code) records, one line at a time."""
+    with nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
+        # iteration splits at newlines only; str.splitlines also at \x0c, \x85, \u2028...
+        for text in fh:
+            for line in text.splitlines():
+                if line.strip() and not line.startswith("#"):
+                    name, tab, code = line.partition("\t")
+                    yield (name, code) if tab else (None, line)
 
 
 def _json_line(obj) -> str:

@@ -2,19 +2,24 @@
 abelian groups presented by their invariant factors.
 
 All arithmetic uses Python integers, so there is no overflow at any size.
-:func:`smith_normal_form` eliminates unit pivots sparsely first and hands
-what is left to the dense elimination :func:`snf_with_column_transform`,
-which chooses pivots of minimal absolute value to keep entries small.  The
-covering solver calls the dense elimination directly, since its matrices
-have few columns, and uses the column transform ``V`` it also returns: the
-solutions are combinations of the columns of ``V`` whose factor shares a
-divisor with the degree, so ``V`` fixes their order.
+:func:`smith_normal_form` and :func:`group_from_relations` eliminate sparsely
+on ``{column: entry}`` rows, pivoting on any entry that divides its row and
+its column (Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001).  What
+is left, usually nothing for relation matrices, goes to the dense
+elimination :func:`snf_with_column_transform`, which chooses pivots of
+minimal absolute value to keep entries small.  The covering solver calls it
+directly, since its matrices have few columns, and uses the column
+transform ``V`` it also returns: the solutions are combinations of the
+columns of ``V`` whose factor shares a divisor with the degree, so ``V``
+fixes their order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import index
 from typing import Sequence
 
@@ -155,61 +160,102 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], in
     """Invariant factors and rank of an integer matrix.
 
     The factors are positive, each divides the next, and their product for a
-    nonsingular square matrix equals the absolute determinant.
-
-    A sparse phase first pivots on units, each taken from a shortest row and
-    the sparsest of that row's columns to keep the Markowitz fill cost low
-    (Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001); row
-    operations clear its column and it counts one factor 1.  What is left,
-    usually nothing for relation matrices, goes to the dense elimination.
+    nonsingular square matrix equals the absolute determinant.  With the rows
+    checked, the sparse phase pivots on any entry that divides its row and
+    its column: a unit if one exists, else one of least absolute value, from
+    a shortest row and its sparsest column for low Markowitz fill.  Row
+    operations clear that column and the pivot's absolute value is a
+    diagonal entry, as the rest of its row is a multiple of it.  One gcd/lcm
+    pass over these and the dense phase's factors restores the chain.
     """
     if any(len(r) != len(mat[0]) for r in mat):
         raise ValueError("matrix rows have unequal lengths")
-    rows = [{j: x for j, x in enumerate(map(index, r)) if x} for r in mat]
+    return _sparse_snf([{j: x for j, x in enumerate(map(index, r)) if x} for r in mat])
+
+
+def _sparse_snf(rows: list[dict[int, int]]) -> tuple[tuple[int, ...], int]:
+    """:func:`smith_normal_form` of the matrix with these ``{column: entry}``
+    rows, which hold no zero entries and are used up."""
     cols: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
             cols.setdefault(j, set()).add(i)
-    # a row is pushed again whenever it changes; stale entries are skipped
-    heap = [(len(row), i) for i, row in enumerate(rows) if row]
-    heapify(heap)
-    units = 0
-    while heap:
-        length, p = heappop(heap)
-        prow = rows[p]
-        pivots = [j for j, x in prow.items() if x == 1 or x == -1]
-        if length != len(prow) or not pivots:
-            continue
-        q = min(pivots, key=lambda j: len(cols[j]))
-        unit = prow[q]
-        touched, cols[q] = cols[q], set()
-        touched.discard(p)
-        for i in touched:
-            row = rows[i]
-            f = row[q] * unit
-            for j, x in prow.items():
-                y = row.get(j, 0) - f * x
-                if y:
-                    row[j] = y
-                    cols[j].add(i)
-                else:
-                    del row[j]
-                    cols[j].discard(i)
-            heappush(heap, (len(row), i))
-        for j in prow:
-            cols[j].discard(p)
-        rows[p] = {}
-        units += 1
+    found: list[int] = []  # |pivot| of each pivot, then the dense phase's factors
+    done = -1
+    # each pass queues every row once by (least |entry|, length); a popped
+    # row whose key has grown goes back in.  A row with no pivot waits for
+    # the next pass: a column can lose the entry that blocked it.
+    while done < len(found):
+        done = len(found)
+        heap = [(min(map(abs, r.values())), len(r), i) for i, r in enumerate(rows) if r]
+        heapify(heap)
+        while heap:
+            least, length, p = heappop(heap)
+            prow = rows[p]
+            if not prow:
+                continue
+            key = min(map(abs, prow.values()))
+            if key > least or key == least and len(prow) > length:
+                heappush(heap, (key, len(prow), p))
+                continue
+            least = key
+            if least == 1:
+                ties = [j for j, x in prow.items() if x == 1 or x == -1]
+            else:
+                ties = [j for j, x in prow.items() if x == least or x == -least]
+                ties = [j for j in ties if all(rows[i][j] % least == 0 for i in cols[j])]
+                if not ties or any(x % least for x in prow.values()):
+                    continue
+            q = min(ties, key=lambda j: len(cols[j]))
+            for j in prow:
+                cols[j].discard(p)
+            x = prow.pop(q)
+            touched, cols[q] = cols[q], set()
+            for i in touched:
+                row = rows[i]
+                f = row.pop(q) // x
+                for j, y in prow.items():
+                    z = row.get(j, 0) - f * y
+                    if z:
+                        row[j] = z
+                        cols[j].add(i)
+                    else:
+                        del row[j]
+                        cols[j].discard(i)
+            rows[p] = {}
+            found.append(least)
     keep = sorted(j for j, members in cols.items() if members)
     rest = [[row.get(j, 0) for j in keep] for row in rows if row]
-    factors, rank, _ = snf_with_column_transform(rest)
-    return (1,) * units + factors, units + rank
+    found += snf_with_column_transform(rest)[0]
+    diagonal = Counter(found)
+    # restore the chain: trade t copies each of two values that do not divide
+    # each other for t of their gcd and t of their lcm (same prime exponents)
+    while ab := next(((a, b) for a in diagonal for b in diagonal if a < b and b % a), None):
+        a, b = ab
+        t = min(diagonal[a], diagonal[b])
+        diagonal -= Counter({a: t, b: t})
+        diagonal += Counter({gcd(a, b): t, lcm(a, b): t})
+    del diagonal[1]
+    torsion = tuple(sorted(diagonal.elements()))
+    return (1,) * (len(found) - len(torsion)) + torsion, len(found)
 
 
-def group_from_relations(num_generators: int, rows: Sequence[Sequence[int]]) -> HomologyGroup:
-    """The abelian group on ``num_generators`` generators modulo the rows."""
-    if any(len(r) != num_generators for r in rows):
-        raise ValueError("relation rows must match the generator count")
-    factors, rank = smith_normal_form(rows)
-    torsion = tuple(d for d in factors if d > 1)
-    return HomologyGroup(num_generators - rank, torsion)
+def group_from_relations(num_generators: int, rows) -> HomologyGroup:
+    """The abelian group on ``num_generators`` generators modulo the rows.
+
+    A row is a sequence of ``num_generators`` integers or a sparse
+    ``{column: entry}`` dict whose columns lie in ``range(num_generators)``.
+    """
+    sparse = []
+    for r in rows:
+        if not isinstance(r, dict):
+            if len(r) != num_generators:
+                raise ValueError("relation rows must match the generator count")
+            r = dict(enumerate(r))
+        sparse.append(dict(zip(map(index, r), map(index, r.values()))))
+    cols = set().union(*sparse)
+    if cols and not (0 <= min(cols) and max(cols) < num_generators):
+        raise ValueError("relation columns must lie in range(num_generators)")
+    sparse = [{j: x for j, x in r.items() if x} if 0 in r.values() else r for r in sparse]
+    factors, rank = _sparse_snf(sparse)
+    return HomologyGroup(num_generators - rank, tuple(d for d in factors if d > 1))

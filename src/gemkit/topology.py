@@ -153,36 +153,38 @@ def is_closed(g: ColoredGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def cycle_relation_rows(g: ColoredGraph):
+def _relation_walk(g: ColoredGraph):
     """Boundary rows of the bicolored-cycle 2-cells over the non-tree edges.
 
-    Each bicolored cycle is traversed once; every crossing of a non-tree
-    edge contributes +1 from its tail and -1 from its head (the signs
-    alternate around a cycle in the bipartite case).  Collapsing the
-    spanning tree makes these rows a presentation of the fundamental
-    group's abelianization, with one generator per non-tree edge.
+    Each bicolored cycle is traversed once, crossing each of its non-tree
+    edges once: +1 from its tail and -1 from its head (the signs alternate
+    around a cycle in the bipartite case), so a row is a ``{column: +-1}``
+    dict.  Collapsing the spanning tree makes these rows a presentation of
+    the fundamental group's abelianization, one generator per non-tree edge.
 
     Returns ``(rows, free)`` with ``free`` the structure record's darts.
     """
     rec = _structure(g)
     free = rec.free
-    column = {dart: k for k, dart in enumerate(free)}
+    # per color, the column and sign that each vertex's edge contributes
+    crossing: list[dict[int, tuple[int, int]]] = [{} for _ in COLORS]
+    for k, (t, c) in enumerate(free):
+        crossing[c][t] = (k, 1)
+        crossing[c][g.inv[c][t]] = (k, -1)
     rows = []
     for (c1, c2), cycles in zip(COLOR_PAIRS, rec.cycles):
+        x1, x2 = crossing[c1], crossing[c2]
         for cyc in cycles:
-            row = [0] * len(free)
-            col = c1
-            for u in cyc:
-                k = column.get((u, col))
-                if k is not None:
-                    row[k] += 1
-                else:
-                    k = column.get((g.inv[col][u], col))
-                    if k is not None:
-                        row[k] -= 1
-                col = c1 + c2 - col
+            row = dict(filter(None, map(x1.get, cyc[::2])))
+            row.update(filter(None, map(x2.get, cyc[1::2])))
             rows.append(row)
     return rows, free
+
+
+def cycle_relation_rows(g: ColoredGraph):
+    """:func:`_relation_walk`'s ``(rows, free)``, each row a dense integer list."""
+    rows, free = _relation_walk(g)
+    return [[row.get(k, 0) for k in range(len(free))] for row in rows], free
 
 
 def first_homology(g: ColoredGraph) -> HomologyGroup:
@@ -196,7 +198,7 @@ def first_homology(g: ColoredGraph) -> HomologyGroup:
     """
     if not _structure(g, cycles=False).connected:
         raise NotConnectedError("first_homology requires a connected graph")
-    rows, free = cycle_relation_rows(g)
+    rows, free = _relation_walk(g)
     return group_from_relations(len(free), rows)
 
 

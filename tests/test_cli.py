@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from gemkit import cli
 from gemkit.cli import main, read_records
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -24,15 +25,99 @@ def run(capsys, argv):
     return rc, captured.out, captured.err
 
 
+def list_read_records(path):
+    """The reader as it was before it streamed: the whole input read at once
+    and split with ``str.splitlines``."""
+    if path == "-":
+        lines = sys.stdin.read().splitlines()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    records = []
+    for line in lines:
+        if not line.strip() or line.startswith("#"):
+            continue
+        if "\t" in line:
+            name, code = line.split("\t", 1)
+            records.append((name, code))
+        else:
+            records.append((None, line))
+    return records
+
+
+#: Every line break of ``str.splitlines``, mixed into one input.
+SEPARATED = (
+    "# head\r\nalpha\tAAA\rBAABBA\x0bb\tAAA\x0c#c\x1cAAA\x1dn\tBAABBA\x1e"
+    "\x85x\tAAA\u2028 \u2029y\tAAA\tz\r\n\r\nBAABBA\n\rlast\tAAA"
+)
+
+
 class TestReadRecords:
     def test_names_comments_and_blanks(self, tmp_path):
         f = tmp_path / "codes.txt"
         f.write_text("# comment\n\nalpha\tAAA\nBAABBA\r\n  \n", encoding="utf-8")
-        assert read_records(str(f)) == [("alpha", "AAA"), (None, "BAABBA")]
+        assert list(read_records(str(f))) == [("alpha", "AAA"), (None, "BAABBA")]
 
     def test_stdin_dash(self, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("AAA\n"))
-        assert read_records("-") == [(None, "AAA")]
+        assert list(read_records("-")) == [(None, "AAA")]
+
+    def test_streams_one_record_at_a_time(self, tmp_path):
+        f = tmp_path / "codes.txt"
+        f.write_text("AAA\nBAABBA\n", encoding="utf-8")
+        records = read_records(str(f))
+        assert next(records) == (None, "AAA")
+        assert next(records) == (None, "BAABBA")
+
+    @pytest.mark.parametrize("newline", ["", "\n", "\r\n", "\r"])
+    def test_file_matches_the_list_reader_on_every_separator(self, tmp_path, newline):
+        f = tmp_path / "codes.txt"
+        with open(f, "w", encoding="utf-8", newline=newline) as fh:
+            fh.write(SEPARATED)
+        want = list_read_records(str(f))
+        assert len(want) == 9
+        assert list(read_records(str(f))) == want
+
+    def test_stdin_matches_the_list_reader_on_every_separator(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(SEPARATED))
+        want = list_read_records("-")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(SEPARATED))
+        assert list(read_records("-")) == want
+
+    def test_stdin_bytes_match_the_list_reader(self, monkeypatch):
+        # a real standard input is a text wrapper over bytes, which keeps \r
+        def stdin():
+            raw = io.BytesIO(SEPARATED.encode("utf-8"))
+            return io.TextIOWrapper(raw, encoding="utf-8", newline="\n")
+
+        monkeypatch.setattr(sys, "stdin", stdin())
+        want = list_read_records("-")
+        monkeypatch.setattr(sys, "stdin", stdin())
+        assert list(read_records("-")) == want
+
+    @pytest.mark.parametrize("command", ["validate", "invariants", "canon"])
+    def test_output_is_unchanged_on_every_separator(self, capsys, tmp_path, command):
+        f = tmp_path / "codes.txt"
+        f.write_text(SEPARATED + "\nbad\tAB\n", encoding="utf-8")
+        rc, out, err = run(capsys, [command, str(f)])
+        record = getattr(cli, "_%s_record" % command)
+        want = {True: "", False: ""}
+        for ok, line in map(record, list_read_records(str(f))):
+            want[ok or command == "validate"] += line + "\n"
+        assert (rc, out, err) == (1, want[True], want[False])
+
+    def test_bad_utf8_after_many_records_exits_2(self, capsys, tmp_path):
+        # records decoded before the bad bytes are already printed
+        f = tmp_path / "late.txt"
+        f.write_bytes(b"AAA\n" * 5000 + b"\xff\n")
+        rc, out, err = run(capsys, ["validate", str(f)])
+        assert rc == 2 and "can't decode byte 0xff" in err
+        assert set(out.splitlines()) <= {"OK\t-\tAAA"}
+
+    def test_missing_file_exits_before_any_output(self, capsys, tmp_path):
+        rc, out, err = run(capsys, ["canon", str(tmp_path / "missing.txt")])
+        assert rc == 2 and out == ""
+        assert err.startswith("[Errno 2] No such file or directory")
 
 
 class TestValidate:

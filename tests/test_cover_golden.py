@@ -7,9 +7,13 @@ onto the structure record.
 at d = 2, 3, 5, in that order (one JSON line per run).  ``SOLVER_GOLDEN``
 holds, per base, the number of Z_4 solutions with no limit and the sha256
 of their ``repr(va.volt)`` tables concatenated in solver order.
+``data/cover_digests.json`` holds the sha256 of the stdout of
+``gemkit cover --code B --degree d`` for d = 100 and 400, recorded while H₁
+still went through dense relation rows.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
@@ -18,6 +22,7 @@ from gemkit import COVERING_BASE_CODES, find_admissible_cyclic_coverings, parse_
 from gemkit.cli import main
 
 GOLDEN_COVER = os.path.join(os.path.dirname(__file__), "data", "cover_golden.jsonl")
+COVER_DIGESTS = os.path.join(os.path.dirname(__file__), "data", "cover_digests.json")
 DEGREES = (2, 3, 5)
 
 SOLVER_GOLDEN = {
@@ -59,3 +64,17 @@ def test_solver_tables_are_byte_identical(code):
     for va in solutions:
         h.update(repr(va.volt).encode("ascii"))
     assert (len(solutions), h.hexdigest()) == SOLVER_GOLDEN[code]
+
+
+def digest_runs():
+    with open(COVER_DIGESTS, encoding="utf-8") as fh:
+        digests = json.load(fh)
+    return [
+        (code, int(d), want) for d, by_code in digests.items() for code, want in by_code.items()
+    ]
+
+
+@pytest.mark.parametrize("code, degree, want", digest_runs(), ids=lambda x: str(x)[:18])
+def test_large_degree_cover_stdout_digest(capsys, code, degree, want):
+    assert main(["cover", "--code", code, "--degree", str(degree)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == want

@@ -1,9 +1,12 @@
-"""The sparse unit-pivot front phase of ``smith_normal_form`` against two
+"""The sparse phase of ``smith_normal_form``, unit and non-unit pivots and
+the gcd/lcm pass that restores the divisibility chain, against two
 independent Smith normal forms: the dense elimination alone
 (``snf_with_column_transform``) and ``sympy``'s.
 
 Invariant factors are unique, so all three must agree exactly on every
 input, from tiny edge cases to the relation matrices of derived graphs.
+The sparse relation rows that ``first_homology`` eliminates are checked
+against a dense cycle walk written here, independently of the package.
 """
 
 import random
@@ -15,18 +18,23 @@ from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from gemkit import (
+    COLOR_PAIRS,
     COVERING_BASE_CODES,
     TABLE1,
     HomologyGroup,
     derived_graph,
     find_admissible_cyclic_coverings,
     first_homology,
+    is_connected,
     parse_code,
     smith_normal_form,
 )
 import gemkit.homology as homology
-from gemkit.homology import snf_with_column_transform
-from gemkit.topology import cycle_relation_rows
+import gemkit.topology as topology
+from gemkit.graphs import _structure
+from gemkit.homology import group_from_relations, snf_with_column_transform
+from gemkit.topology import _relation_walk, cycle_relation_rows
+from helpers import random_bipartite_graph, random_colored_graph
 
 
 def dense(mat):
@@ -57,11 +65,80 @@ def unit_heavy_matrix(rng, nrows, ncols, density=0.3):
     ]
 
 
-def derived_relations(code, n):
+def scaled_matrix(rng, nrows, ncols, scales, density=0.4):
+    """Rows of a unit-heavy matrix, each times a value drawn from ``scales``:
+    with scales that divide one another, most rows hold a pivot that divides
+    its row and its column."""
+    return [
+        [k * x for x in row]
+        for k, row in zip(
+            (rng.choice(scales) for _ in range(nrows)),
+            unit_heavy_matrix(rng, nrows, ncols, density),
+        )
+    ]
+
+
+def divisible_pivots(mat):
+    """The entries that divide every entry of their row and their column."""
+    return [
+        (i, j)
+        for i, row in enumerate(mat)
+        for j, x in enumerate(row)
+        if x and all(y % x == 0 for y in row) and all(r[j] % x == 0 for r in mat)
+    ]
+
+
+def derived(code, n):
     va = find_admissible_cyclic_coverings(parse_code(code), n)[0]
     total, _ = derived_graph(va)
-    rows, _ = cycle_relation_rows(total)
+    return total
+
+
+def derived_relations(code, n):
+    rows, _ = cycle_relation_rows(derived(code, n))
     return rows
+
+
+def reference_relation_rows(g):
+    """Dense boundary rows of the bicolored cycles over the non-tree edges,
+    walked vertex by vertex: +1 where a cycle leaves a free edge's tail
+    along it, -1 where it leaves the head."""
+    rec = _structure(g)
+    column = {dart: k for k, dart in enumerate(rec.free)}
+    rows = []
+    for (c1, c2), cycles in zip(COLOR_PAIRS, rec.cycles):
+        for cyc in cycles:
+            row = [0] * len(rec.free)
+            for step, u in enumerate(cyc):
+                c = (c1, c2)[step % 2]
+                if (u, c) in column:
+                    row[column[u, c]] += 1
+                elif (g.inv[c][u], c) in column:
+                    row[column[g.inv[c][u], c]] -= 1
+            rows.append(row)
+    return rows
+
+
+def assert_walk_matches(g):
+    want = reference_relation_rows(g)
+    sparse, free = _relation_walk(g)
+    assert all(x in (1, -1) for row in sparse for x in row.values())
+    assert [[row.get(k, 0) for k in range(len(free))] for row in sparse] == want
+    assert cycle_relation_rows(g) == (want, free)
+
+
+def random_connected_graphs(seed, count):
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        p = rng.randint(1, 12)
+        if rng.random() < 0.5:
+            g = random_bipartite_graph(rng, p)
+        else:
+            g = random_colored_graph(rng, 2 * p)
+        if is_connected(g):
+            found.append(g)
+    return found
 
 
 class TestEdgeCases:
@@ -79,7 +156,8 @@ class TestEdgeCases:
         assert assert_agrees([[2, 4], [6, 8]]) == ((2, 4), 2)
 
     def test_remainder_goes_to_the_dense_phase(self):
-        # eliminating the first unit leaves diag(2, 3), whose factors are 1, 6
+        # eliminating the first unit leaves diag(2, 3): two non-unit pivots,
+        # which the chain pass turns into the factors 1, 6
         assert assert_agrees([[1, 1, 1], [1, 3, 1], [1, 1, 4]]) == ((1, 1, 6), 3)
 
 
@@ -109,6 +187,125 @@ class TestRandomSparse:
             assert_agrees(unit_heavy_matrix(rng, nrows, ncols, density=0.1))
 
 
+def spy_on_dense_phase(monkeypatch):
+    """Record every matrix the sparse phase hands to the dense phase."""
+    remainders = []
+
+    def spy(mat):
+        remainders.append(mat)
+        return snf_with_column_transform(mat)
+
+    monkeypatch.setattr(homology, "snf_with_column_transform", spy)
+    return remainders
+
+
+class TestNonUnitPivots:
+    @pytest.mark.parametrize(
+        "mat, factors",
+        [
+            ([[4, 0], [0, 6]], (2, 12)),
+            ([[2, 0], [0, 3]], (1, 6)),
+            ([[6, 0], [0, 4]], (2, 12)),
+            ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], (2, 2, 60)),
+            ([[2, 4], [6, 8]], (2, 4)),
+            ([[-6, 12, 0], [18, 0, 30], [0, 12, 6]], (6, 6, 24)),
+            ([[2, 0, 0], [0, 2, 0], [0, 0, 2], [0, 0, 0]], (2, 2, 2)),
+        ],
+    )
+    def test_divisible_pivots_stay_sparse(self, monkeypatch, mat, factors):
+        remainders = spy_on_dense_phase(monkeypatch)
+        assert assert_agrees(mat) == (factors, len(factors))
+        assert remainders[0] == []
+
+    @pytest.mark.parametrize(
+        "mat, factors",
+        [
+            ([[4, 6], [6, 4]], (2, 10)),
+            ([[2, 3], [3, 2]], (1, 5)),
+            ([[6, 10, 15]], (1,)),
+        ],
+    )
+    def test_no_divisible_pivot_falls_through_to_dense(self, monkeypatch, mat, factors):
+        remainders = spy_on_dense_phase(monkeypatch)
+        assert not divisible_pivots(mat)
+        assert assert_agrees(mat) == (factors, len(factors))
+        assert remainders[0] == mat
+
+    def test_many_equal_torsion_entries(self):
+        # the chain pass merges all copies of a value at once
+        mat = [[2 if i == j else 0 for j in range(400)] for i in range(400)]
+        mat[0][0] = 3
+        assert smith_normal_form(mat) == ((1,) + (2,) * 398 + (6,), 400)
+
+    @pytest.mark.parametrize(
+        "scales", [(2,), (2, 4), (2, 4, 8), (3, 6, 12), (2, 3), (4, 6, 9)]
+    )
+    def test_random_scaled_matrices(self, scales):
+        rng = random.Random(sum(scales))
+        for _ in range(25):
+            assert_agrees(scaled_matrix(rng, rng.randint(1, 8), rng.randint(1, 8), scales))
+
+
+class TestRelationWalk:
+    @pytest.mark.parametrize("row", TABLE1, ids=lambda r: r.name)
+    def test_table1(self, row):
+        assert_walk_matches(parse_code(row.code))
+
+    @pytest.mark.parametrize("code", COVERING_BASE_CODES)
+    @pytest.mark.parametrize("n", list(range(1, 9)) + [20])
+    def test_derived_graphs(self, code, n):
+        assert_walk_matches(derived(code, n))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_connected_graphs(self, seed):
+        for g in random_connected_graphs(seed, 15):
+            assert_walk_matches(g)
+
+    def test_first_homology_builds_no_dense_rows(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("first_homology built dense relation rows")
+
+        seen = []
+
+        def spy(n, rows):
+            seen.append(rows)
+            return group_from_relations(n, rows)
+
+        monkeypatch.setattr(topology, "cycle_relation_rows", refuse)
+        monkeypatch.setattr(topology, "group_from_relations", spy)
+        for code in COVERING_BASE_CODES:
+            first_homology(derived(code, 8))
+        assert len(seen) == 3 and all(isinstance(r, dict) for rows in seen for r in rows)
+
+
+class TestGroupFromSparseRows:
+    def test_dict_rows_match_dense_rows(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            mat = scaled_matrix(rng, rng.randint(1, 7), 6, (1, 2, 4, 3))
+            dicts = [{j: x for j, x in enumerate(row) if x} for row in mat]
+            assert group_from_relations(6, dicts) == group_from_relations(6, mat)
+
+    def test_zero_entries_and_empty_rows(self):
+        assert group_from_relations(2, [{0: 0, 1: 2}, {}]) == HomologyGroup(1, (2,))
+
+    @pytest.mark.parametrize("row", [{2: 1}, {-1: 1}, {0: 1, 5: 0}])
+    def test_columns_out_of_range_rejected(self, row):
+        with pytest.raises(ValueError):
+            group_from_relations(2, [row])
+
+    def test_non_integer_entries_and_columns_rejected(self):
+        with pytest.raises(TypeError):
+            group_from_relations(2, [{0: 2.5}])
+        with pytest.raises(TypeError):
+            group_from_relations(2, [{1.0: 1}])
+
+    def test_rows_are_not_consumed(self):
+        rows = [{0: 1, 1: -1}, {1: 2}]
+        group_from_relations(2, rows)
+        assert rows == [{0: 1, 1: -1}, {1: 2}]
+
+
 @pytest.mark.parametrize("row", TABLE1, ids=lambda r: r.name)
 def test_table1_relation_matrices(row):
     rows, _ = cycle_relation_rows(parse_code(row.code))
@@ -124,24 +321,32 @@ def test_derived_graph_relation_matrices(code, n):
 def test_dense_phase_never_receives_a_unit(monkeypatch):
     # built before the spy goes in, so the covering solver's own dense SNF
     # calls are not recorded
-    derived = [
+    relations = [
         derived_relations(code, n) for code in COVERING_BASE_CODES for n in (1, 2, 3, 8, 20)
     ]
-    remainders = []
-
-    def spy(mat):
-        remainders.append(mat)
-        return snf_with_column_transform(mat)
-
-    monkeypatch.setattr(homology, "snf_with_column_transform", spy)
+    remainders = spy_on_dense_phase(monkeypatch)
     rng = random.Random(11)
     for _ in range(200):
         smith_normal_form(unit_heavy_matrix(rng, rng.randint(1, 9), rng.randint(1, 9)))
-    for rows in derived:
+    for scales in ((2, 4), (2, 3), (4, 6, 9)):
+        for _ in range(60):
+            smith_normal_form(scaled_matrix(rng, rng.randint(1, 9), rng.randint(1, 9), scales))
+    for rows in relations:
         smith_normal_form(rows)
-    assert all(x not in (1, -1) for mat in remainders for row in mat for x in row)
-    # the torsion-free bases leave nothing for the dense phase at degree 20
-    assert remainders[-11] == [] and remainders[-1] == []
+    # the dense phase receives no entry that divides its row and column,
+    # so in particular no unit
+    assert any(remainders) and not any(divisible_pivots(mat) for mat in remainders)
+    # no covering base leaves anything for the dense phase at degree 20
+    assert remainders[-11] == remainders[-6] == remainders[-1] == []
+
+
+@pytest.mark.parametrize("code", COVERING_BASE_CODES)
+@pytest.mark.parametrize("n", [20, 100, 400])
+def test_covering_bases_leave_no_dense_residue(monkeypatch, code, n):
+    total = derived(code, n)
+    remainders = spy_on_dense_phase(monkeypatch)
+    first_homology(total)
+    assert remainders == [[]]
 
 
 @pytest.mark.parametrize(
@@ -175,3 +380,21 @@ def test_property_sparse_front_phase_matches_dense(mat):
     assert (factors, rank) == dense(mat)
     assert rank == len(factors) and all(d > 0 for d in factors)
     assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+
+@st.composite
+def divisible_matrices(draw):
+    """Rows scaled by values that often divide one another, so that the
+    sparse phase meets non-unit pivots and chains to restore."""
+    nrows = draw(st.integers(min_value=1, max_value=6))
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    row = st.lists(st.sampled_from([0, 0, 1, -1, 2, -3]), min_size=ncols, max_size=ncols)
+    scale = st.sampled_from([1, 2, 3, 4, 6, 9, 12])
+    scaled = st.lists(st.tuples(scale, row), min_size=nrows, max_size=nrows)
+    return [[k * x for x in r] for k, r in draw(scaled)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(divisible_matrices())
+def test_property_non_unit_pivots_match_dense_and_sympy(mat):
+    assert_agrees(mat)
