@@ -26,7 +26,11 @@ Rejection: a leaf's ceiling starts with 1 or 2.  When it starts with 1, or
 the leaf has a double edge, ``beats_entries`` tries only the starts on a
 double edge: every other start gives a list starting with 2, which cannot
 sort below a ceiling starting with 1 nor below the list a double edge gives,
-so the verdict is the one every start would give.
+so the verdict is the one every start would give.  Otherwise every list
+starts with 2, and when the ceiling starts ``[2, 1]``, or the leaf has a
+bicolored 4-cycle, only the starts on a 4-cycle of the first two permuted
+colors are tried: every other start gives a list starting ``2, k`` with
+k >= 3.  The generator itself is unchanged by this rule.
 """
 
 from __future__ import annotations

@@ -483,18 +483,35 @@ def _least_traversal(g: ColoredGraph, ceiling: list[int], first: bool):
     Starts that cannot win are skipped: off fiber 0 of a derived graph (the
     deck map is an automorphism), and, when a winner's entry 0 must be 1 (a
     double edge exists or the ceiling starts with 1), those where colors
-    sigma0 and sigma1 do not join the start to one vertex.
+    sigma0 and sigma1 do not join the start to one vertex.  Without a double
+    edge every entry 0 is 2, and entry 1 is 1 exactly when the start lies on
+    a sigma0 sigma1 4-cycle (else it is at least 3); so when a winner's
+    entry 1 must be 1 (a bicolored 4-cycle exists or the ceiling starts
+    ``[2, 1]``), only those starts are tried.
     """
     p = g.order // 2
     best = None
     starts = range(0, 2 * p, g._deck)
-    double = ceiling[0] == 1 or any(
-        any(map(eq, g.inv[a], g.inv[b])) for a, b in COLOR_PAIRS
+    inv = g.inv
+    double = ceiling[0] == 1 or any(any(map(eq, inv[a], inv[b])) for a, b in COLOR_PAIRS)
+    # ab = inv[a] after inv[b] has a 4-cycle exactly when ab twice fixes a vertex
+    four = not double and (
+        ceiling[:2] == [2, 1]
+        or any(
+            any(map(eq, map(ab.__getitem__, ab), range(2 * p)))
+            for ab in (tuple(map(inv[a].__getitem__, inv[b])) for a, b in COLOR_PAIRS)
+        )
     )
     for sigma in permutations(COLORS):
-        inv0, inv1, inv2, inv3 = (g.inv[c] for c in sigma)
+        inv0, inv1, inv2, inv3 = (inv[c] for c in sigma)
         rest = ((p, inv2), (2 * p, inv3))
-        for start in [s for s in starts if inv0[s] == inv1[s]] if double else starts:
+        if double:
+            tried = [s for s in starts if inv0[s] == inv1[s]]
+        elif four:
+            tried = [s for s in starts if inv1[inv0[inv1[s]]] == inv0[s]]
+        else:
+            tried = starts
+        for start in tried:
             pos_label = [0] * (2 * p)
             pos_label[inv0[start]] = 1
             neg_vertex = [0, start] + [0] * (p - 1)
@@ -552,9 +569,12 @@ def canonical_code(g: ColoredGraph) -> str:
     graphs are color-isomorphic exactly when their canonical codes agree.
     The kernel skips only starts that cannot give a smaller list: on a
     derived graph, all but fiber 0 (the deck map is an automorphism, so
-    the other fibers repeat its lists), and when the graph has a double
-    edge, every start whose first two permuted colors do not double its
-    edge (those lists begin with 2, the minimum with 1).
+    the other fibers repeat its lists); when the graph has a double edge,
+    every start whose first two permuted colors do not double its edge
+    (those lists begin with 2, the minimum with 1); and otherwise, when it
+    has a bicolored 4-cycle, every start whose first two permuted colors
+    close none through it (those lists begin ``2, k`` with k >= 3, the
+    minimum with ``2, 1``).
     """
     rec = _structure(g, cycles=False)
     if not rec.connected:

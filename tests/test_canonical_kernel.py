@@ -2,19 +2,22 @@
 
 ``canonical_entries`` must equal the minimum over all 24 * order traversals
 built in full, and ``beats_entries`` must agree with comparing every full
-traversal against the ceiling.  The kernel skips starts by two rules (the
-deck-group hint of derived graphs and the double-edge filter); both are
-checked here against the full search and the reference.
+traversal against the ceiling.  The kernel skips starts by three rules (the
+deck-group hint of derived graphs, the double-edge filter and the 4-cycle
+filter); each is checked here against the full search and the reference.
 """
 
 import random
+from itertools import permutations
 
 import pytest
 
 from gemkit import (
     COLOR_PAIRS,
+    COLORS,
     COVERING_BASE_CODES,
     ColoredGraph,
+    bicolored_cycles,
     canonical_code,
     derived_graph,
     find_admissible_cyclic_coverings,
@@ -23,10 +26,11 @@ from gemkit import (
     recolored,
     relabeled,
 )
-from gemkit.graphs import beats_entries, canonical_entries
+from gemkit.graphs import _least_traversal, beats_entries, canonical_entries
 from helpers import (
     TABLE_CODES,
     all_traversals,
+    full_traversal,
     random_bipartite_graph,
     random_vertex_permutation,
     reference_canonical_entries,
@@ -222,3 +226,189 @@ def test_ceiling_starting_with_one_matches_reference_without_double_edge():
         for _ in range(4):
             g = no_double_edge(rng, p)
             check_against_reference(g, rng)
+
+
+# ---------------------------------------------------------------------------
+# 4-cycle filter: without a double edge, with a bicolored 4-cycle, only
+# starts on a sigma0 sigma1 4-cycle can win
+# ---------------------------------------------------------------------------
+
+
+def four_cycle_pairs(g):
+    return {
+        pair
+        for pair in COLOR_PAIRS
+        if any(len(cyc) == 4 for cyc in bicolored_cycles(g, pair))
+    }
+
+
+def has_four_cycle(g):
+    return bool(four_cycle_pairs(g))
+
+
+def on_four_cycle(g, sigma, s):
+    """Whether colors sigma0 and sigma1 close a 4-cycle through ``s``."""
+    m0, m1 = g.inv[sigma[0]], g.inv[sigma[1]]
+    return m0[m1[m0[m1[s]]]] == s
+
+
+def test_entry_one_is_one_exactly_on_a_four_cycle():
+    # four disjoint perfect matchings of K_{p,p} need p >= 4
+    rng = random.Random(73)
+    graphs = [g for g in map(parse_code, TABLE_CODES) if not has_double_edge(g)]
+    assert len(graphs) == 11
+    for p in range(4, 10):
+        graphs.extend(no_double_edge(rng, p) for _ in range(4))
+    for g in graphs:
+        for sigma in permutations(COLORS):
+            for s in range(g.order):
+                head = full_traversal(g, sigma, s)[:2]
+                assert head[0] == 2
+                assert (head[1] == 1) == on_four_cycle(g, sigma, s), (sigma, s)
+                assert head[1] != 2
+
+
+def plant_four_cycle(blocks, a, b, i, k):
+    """Swap entries of block b so that colors a, b close a 4-cycle through
+    -(i+1) and -(k+1)."""
+    p = len(blocks[0])
+    partner = list(range(1, p + 1)) if a == 0 else blocks[a - 1]
+    block = blocks[b - 1]
+    # -(i+1) -a- partner[i] -b- -(k+1) -a- partner[k] -b- -(i+1)
+    for slot, target in ((k, partner[i]), (i, partner[k])):
+        j = block.index(target)
+        block[slot], block[j] = block[j], block[slot]
+
+
+def planted_four_cycle(rng, p):
+    """A random connected bipartite graph without a double edge with a
+    4-cycle planted in a random color pair."""
+    while True:
+        blocks = [rng.sample(range(1, p + 1), p) for _ in range(3)]
+        plant_four_cycle(blocks, *rng.choice(COLOR_PAIRS), *rng.sample(range(p), 2))
+        g = ColoredGraph.from_blocks(blocks)
+        if is_connected(g) and not has_double_edge(g):
+            return g
+
+
+def short_cycle_free_blocks(rng, p):
+    """Three random blocks whose graph has no bicolored cycle shorter than 6.
+    Block c maps -(i+1) to the color-c partner's label, so colors a and b
+    close a 2k-cycle exactly where ``b^-1 a`` has a k-cycle."""
+    blocks = [list(range(1, p + 1))]
+    while len(blocks) < 4:
+        block = rng.sample(range(1, p + 1), p)
+        back = {j: i for i, j in enumerate(block)}
+        for other in blocks:
+            pi = [back[j] for j in other]
+            if any(pi[i] == i or pi[pi[i]] == i for i in range(p)):
+                break
+        else:
+            blocks.append(block)
+    return blocks[1:]
+
+
+def no_short_cycle(rng, p):
+    while True:
+        g = ColoredGraph.from_blocks(short_cycle_free_blocks(rng, p))
+        if is_connected(g):
+            return g
+
+
+def lone_four_cycle(rng, p, pair):
+    """A connected graph without a double edge whose 4-cycles all lie in the
+    colors ``pair`` and miss vertex 0."""
+    while True:
+        blocks = short_cycle_free_blocks(rng, p)
+        plant_four_cycle(blocks, *pair, *rng.sample(range(1, p), 2))
+        g = ColoredGraph.from_blocks(blocks)
+        fours = [c for c in bicolored_cycles(g, pair) if len(c) == 4]
+        if (
+            is_connected(g)
+            and not has_double_edge(g)
+            and four_cycle_pairs(g) == {pair}
+            and not any(0 in c.vertices for c in fours)
+        ):
+            return g
+
+
+def check_first_modes(g, ceilings):
+    """``_least_traversal`` in both modes against every full traversal."""
+    cands = all_traversals(g)
+    p = g.order // 2
+    for ceiling in ceilings:
+        below = [c for c in cands if c < ceiling]
+        assert beats_entries(g, ceiling) == bool(below), ceiling
+        padded = list(ceiling) + [0] * (p - len(ceiling))
+        assert _least_traversal(g, padded, False) == min(below, default=None), ceiling
+
+
+def ceilings_after_two(rng, cands, p):
+    """Ceilings starting ``[2, 1]`` and ``[2, k]`` for every k in 2..p:
+    sampled traversals, random lists and short prefixes; and ``[3, 1]``,
+    which every list beats."""
+    out = [list(c) for c in rng.sample(cands, min(8, len(cands)))]
+    out += [[3, 1], [3, 1] + [1] * (3 * p)]
+    for k in range(1, p + 1):
+        out += [[2, k] + [rng.randint(1, p) for _ in range(3 * p - 2)] for _ in range(2)]
+        out += [[2, k], [2, k] + [p] * (p - 2), [2, k] + [1] * (3 * p)]
+    return out
+
+
+def test_four_cycle_filter_matches_reference_on_planted_four_cycles():
+    rng = random.Random(79)
+    for p in range(4, 10):
+        for _ in range(4):
+            g = planted_four_cycle(rng, p)
+            assert has_four_cycle(g)
+            assert canonical_entries(g) == reference_canonical_entries(g)
+            assert canonical_entries(g)[:2] == [2, 1]
+            check_first_modes(g, ceilings_after_two(rng, all_traversals(g), p))
+
+
+def test_full_search_matches_reference_without_short_cycles():
+    # here the filter is on only through a ceiling that starts [2, 1], and
+    # leaves no start; otherwise every start is tried
+    rng = random.Random(83)
+    for p in range(5, 10):
+        for _ in range(3):
+            g = no_short_cycle(rng, p)
+            assert not has_double_edge(g) and not has_four_cycle(g)
+            assert canonical_entries(g) == reference_canonical_entries(g)
+            assert canonical_entries(g)[1] > 2
+            check_first_modes(g, ceilings_after_two(rng, all_traversals(g), p))
+
+
+@pytest.mark.parametrize("code", COVERING_BASE_CODES)
+def test_hint_and_four_cycle_filter_together(code):
+    # derived graphs have 4-cycles and no double edge; the relabelled copy
+    # carries no hint, so every fiber's starts are tried there
+    rng = random.Random(89)
+    for n in range(2, 13):
+        total = first_derived(code, n)
+        assert total._deck == n
+        assert not has_double_edge(total) and has_four_cycle(total)
+        copy = relabeled(total, random_vertex_permutation(rng, total.order))
+        best = canonical_entries(copy)
+        assert canonical_entries(total) == best, n
+        p = total.order // 2
+        for ceiling in (best, best[:2], [2, 1] + [p] * (p - 2), [2, 2], [2, 1, 1]):
+            assert beats_entries(total, ceiling) == beats_entries(copy, ceiling), n
+            padded = list(ceiling) + [0] * (p - len(ceiling))
+            assert _least_traversal(total, padded, False) == _least_traversal(
+                copy, padded, False
+            ), n
+
+
+def test_first_start_tried_lies_on_a_four_cycle():
+    # every list beats a ceiling [2, order], so the first start tried wins
+    rng = random.Random(97)
+    graphs = [planted_four_cycle(rng, p) for p in range(4, 10)]
+    graphs += [first_derived(code, 5) for code in COVERING_BASE_CODES]
+    # one graph per color pair whose 4-cycles lie in that pair only: the
+    # full search would return start 0, which lies on none
+    graphs += [lone_four_cycle(rng, 7, pair) for pair in COLOR_PAIRS]
+    for g in graphs:
+        p = g.order // 2
+        found = _least_traversal(g, [2, g.order] + [0] * (p - 2), True)
+        assert found[:2] == [2, 1]
