@@ -2,16 +2,17 @@
 abelian groups presented by their invariant factors.
 
 All arithmetic uses Python integers, so there is no overflow at any size.
-:func:`smith_normal_form` and :func:`group_from_relations` eliminate sparsely
-on ``{column: entry}`` rows, pivoting on any entry that divides its row and
-its column (Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001).  What
-is left, usually nothing for relation matrices, goes to the dense
-elimination :func:`snf_with_column_transform`, which chooses pivots of
-minimal absolute value to keep entries small.  The covering solver calls it
-directly, since its matrices have few columns, and uses the column
-transform ``V`` it also returns: the solutions are combinations of the
-columns of ``V`` whose factor shares a divisor with the degree, so ``V``
-fixes their order.
+:func:`smith_normal_form` and :func:`group_from_relations` check their rows,
+then eliminate sparsely on ``{column: entry}`` rows, first on units, then on
+any entry that divides its row and its column (Dumas, Saunders & Villard,
+J. Symbolic Comput. 32, 2001); ``topology.first_homology`` hands the rows
+it builds to the same elimination unchecked.  What is left, usually nothing
+for relation matrices, goes to the dense elimination
+:func:`snf_with_column_transform`, which chooses pivots of minimal absolute
+value to keep entries small.  The covering solver calls it directly, since
+its matrices have few columns, and uses the column transform ``V`` it also
+returns: the solutions are combinations of the columns of ``V`` whose factor
+shares a divisor with the degree, so ``V`` fixes their order.
 """
 
 from __future__ import annotations
@@ -161,12 +162,13 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], in
 
     The factors are positive, each divides the next, and their product for a
     nonsingular square matrix equals the absolute determinant.  With the rows
-    checked, the sparse phase pivots on any entry that divides its row and
-    its column: a unit if one exists, else one of least absolute value, from
-    a shortest row and its sparsest column for low Markowitz fill.  Row
-    operations clear that column and the pivot's absolute value is a
-    diagonal entry, as the rest of its row is a multiple of it.  One gcd/lcm
-    pass over these and the dense phase's factors restores the chain.
+    checked, the sparse phase pivots on entries that divide their row and
+    their column, from short rows in their sparsest column for low Markowitz
+    fill: a unit phase takes the rows shortest first, each on an entry of
+    absolute value 1, then passes take entries of least absolute value.  Row
+    operations clear the pivot's column and its absolute value is a diagonal
+    entry, as the rest of its row is a multiple of it.  One gcd/lcm pass over
+    these and the dense phase's factors restores the chain.
     """
     if any(len(r) != len(mat[0]) for r in mat):
         raise ValueError("matrix rows have unequal lengths")
@@ -181,6 +183,22 @@ def _sparse_snf(rows: list[dict[int, int]]) -> tuple[tuple[int, ...], int]:
         for j in row:
             cols.setdefault(j, set()).add(i)
     found: list[int] = []  # |pivot| of each pivot, then the dense phase's factors
+    # unit phase: shortest rows first, each on its unit in the sparsest column;
+    # a grown row goes back in, one without a unit waits for the passes below
+    heap = [(len(r), i) for i, r in enumerate(rows) if r]
+    heapify(heap)
+    while heap:
+        length, p = heappop(heap)
+        prow = rows[p]
+        if len(prow) > length:
+            heappush(heap, (len(prow), p))
+            continue
+        q = fill = None
+        for j, x in prow.items():
+            if (x == 1 or x == -1) and (fill is None or len(cols[j]) < fill):
+                q, fill = j, len(cols[j])
+        if q is not None:
+            found.append(_pivot(rows, cols, p, q))
     done = -1
     # each pass queues every row once by (least |entry|, length); a popped
     # row whose key has grown goes back in.  A row with no pivot waits for
@@ -207,23 +225,7 @@ def _sparse_snf(rows: list[dict[int, int]]) -> tuple[tuple[int, ...], int]:
                 if not ties or any(x % least for x in prow.values()):
                     continue
             q = min(ties, key=lambda j: len(cols[j]))
-            for j in prow:
-                cols[j].discard(p)
-            x = prow.pop(q)
-            touched, cols[q] = cols[q], set()
-            for i in touched:
-                row = rows[i]
-                f = row.pop(q) // x
-                for j, y in prow.items():
-                    z = row.get(j, 0) - f * y
-                    if z:
-                        row[j] = z
-                        cols[j].add(i)
-                    else:
-                        del row[j]
-                        cols[j].discard(i)
-            rows[p] = {}
-            found.append(least)
+            found.append(_pivot(rows, cols, p, q))
     keep = sorted(j for j, members in cols.items() if members)
     rest = [[row.get(j, 0) for j in keep] for row in rows if row]
     found += snf_with_column_transform(rest)[0]
@@ -238,6 +240,28 @@ def _sparse_snf(rows: list[dict[int, int]]) -> tuple[tuple[int, ...], int]:
     del diagonal[1]
     torsion = tuple(sorted(diagonal.elements()))
     return (1,) * (len(found) - len(torsion)) + torsion, len(found)
+
+
+def _pivot(rows: list[dict[int, int]], cols: dict[int, set[int]], p: int, q: int) -> int:
+    """Clear column ``q`` with row ``p``'s entry there, which divides all of
+    row ``p``, then retire row ``p`` and column ``q``; returns |entry|."""
+    prow = rows[p]
+    for j in prow:
+        cols[j].discard(p)
+    x = prow.pop(q)
+    for i in cols.pop(q):
+        row = rows[i]
+        f = row.pop(q) // x
+        for j, y in prow.items():
+            z = row.get(j, 0) - f * y
+            if z:
+                row[j] = z
+                cols[j].add(i)
+            else:
+                del row[j]
+                cols[j].discard(i)
+    prow.clear()
+    return abs(x)
 
 
 def group_from_relations(num_generators: int, rows) -> HomologyGroup:
@@ -257,5 +281,12 @@ def group_from_relations(num_generators: int, rows) -> HomologyGroup:
     if cols and not (0 <= min(cols) and max(cols) < num_generators):
         raise ValueError("relation columns must lie in range(num_generators)")
     sparse = [{j: x for j, x in r.items() if x} if 0 in r.values() else r for r in sparse]
-    factors, rank = _sparse_snf(sparse)
+    return _group_from_rows(num_generators, sparse)
+
+
+def _group_from_rows(num_generators: int, rows: list[dict[int, int]]) -> HomologyGroup:
+    """:func:`group_from_relations` without its checks: the rows must be
+    ``{column: entry}`` dicts of nonzero integers whose columns lie in
+    ``range(num_generators)``, and they are used up."""
+    factors, rank = _sparse_snf(rows)
     return HomologyGroup(num_generators - rank, tuple(d for d in factors if d > 1))

@@ -25,7 +25,7 @@ from gemkit.graphs import (
     _structure,
     residues,
 )
-from gemkit.homology import HomologyGroup, group_from_relations
+from gemkit.homology import HomologyGroup, _group_from_rows
 
 
 @dataclass(frozen=True)
@@ -194,12 +194,14 @@ def first_homology(g: ColoredGraph) -> HomologyGroup:
     per graph vertex, one 1-cell per edge, one 2-cell per bicolored cycle.
     After collapsing a spanning tree this leaves order+1 generators modulo
     the cycle relation rows; the Smith normal form reads off rank and
-    invariant factors exactly.
+    invariant factors exactly.  The walk's ``{column: +-1}`` rows go to its
+    sparse unit phase without the checks of
+    :func:`gemkit.homology.group_from_relations`, which they would pass.
     """
     if not _structure(g, cycles=False).connected:
         raise NotConnectedError("first_homology requires a connected graph")
     rows, free = _relation_walk(g)
-    return group_from_relations(len(free), rows)
+    return _group_from_rows(len(free), rows)
 
 
 # ---------------------------------------------------------------------------

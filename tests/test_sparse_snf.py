@@ -7,6 +7,10 @@ Invariant factors are unique, so all three must agree exactly on every
 input, from tiny edge cases to the relation matrices of derived graphs.
 The sparse relation rows that ``first_homology`` eliminates are checked
 against a dense cycle walk written here, independently of the package.
+``first_homology`` hands those rows to the sparse phase without the checks
+of ``group_from_relations``: a proof test shows that they would pass them
+and that both routes give the same group, and an oracle test runs the unit
+phase on the walk's rows against the dense elimination and ``sympy``.
 """
 
 import random
@@ -23,8 +27,10 @@ from gemkit import (
     TABLE1,
     HomologyGroup,
     derived_graph,
+    enumerate_gems,
     find_admissible_cyclic_coverings,
     first_homology,
+    is_bipartite,
     is_connected,
     parse_code,
     smith_normal_form,
@@ -32,7 +38,12 @@ from gemkit import (
 import gemkit.homology as homology
 import gemkit.topology as topology
 from gemkit.graphs import _structure
-from gemkit.homology import group_from_relations, snf_with_column_transform
+from gemkit.homology import (
+    _group_from_rows,
+    _sparse_snf,
+    group_from_relations,
+    snf_with_column_transform,
+)
 from gemkit.topology import _relation_walk, cycle_relation_rows
 from helpers import random_bipartite_graph, random_colored_graph
 
@@ -269,10 +280,10 @@ class TestRelationWalk:
 
         def spy(n, rows):
             seen.append(rows)
-            return group_from_relations(n, rows)
+            return _group_from_rows(n, rows)
 
         monkeypatch.setattr(topology, "cycle_relation_rows", refuse)
-        monkeypatch.setattr(topology, "group_from_relations", spy)
+        monkeypatch.setattr(topology, "_group_from_rows", spy)
         for code in COVERING_BASE_CODES:
             first_homology(derived(code, 8))
         assert len(seen) == 3 and all(isinstance(r, dict) for rows in seen for r in rows)
@@ -304,6 +315,104 @@ class TestGroupFromSparseRows:
         rows = [{0: 1, 1: -1}, {1: 2}]
         group_from_relations(2, rows)
         assert rows == [{0: 1, 1: -1}, {1: 2}]
+
+
+@pytest.fixture(scope="module")
+def census_graphs():
+    """``run(order)`` gives the graph of every census class of one order."""
+    runs = {}
+
+    def run(order):
+        if order not in runs:
+            runs[order] = [parse_code(e.canonical) for e in enumerate_gems(order)]
+        return runs[order]
+
+    return run
+
+
+def assert_trusted_group(g):
+    """``first_homology`` hands the walk's rows to the sparse phase unchecked:
+    they must pass every check that ``group_from_relations`` makes, and the
+    checked route must give the same group."""
+    rows, free = _relation_walk(g)
+    for row in rows:
+        assert type(row) is dict
+        for j, x in row.items():
+            assert type(j) is int and 0 <= j < len(free)
+            assert type(x) is int and x != 0
+    assert first_homology(g) == group_from_relations(len(free), rows)
+
+
+class TestTrustedPath:
+    @pytest.mark.parametrize("row", TABLE1, ids=lambda r: r.name)
+    def test_table1(self, row):
+        assert_trusted_group(parse_code(row.code))
+
+    @pytest.mark.parametrize("order", [2, 4, 6, 8, 10])
+    def test_census_classes(self, census_graphs, order):
+        graphs = census_graphs(order)
+        assert graphs
+        for g in graphs:
+            assert_trusted_group(g)
+
+    @pytest.mark.parametrize("code", COVERING_BASE_CODES)
+    @pytest.mark.parametrize("n", list(range(1, 9)) + [20])
+    def test_derived_graphs(self, code, n):
+        assert_trusted_group(derived(code, n))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_connected_graphs(self, seed):
+        graphs = random_connected_graphs(200 + seed, 15)
+        assert {is_bipartite(g) for g in graphs} == {True, False}
+        for g in graphs:
+            assert_trusted_group(g)
+
+
+def paired_rows(rows):
+    """Each even-indexed row plus the row after it, the others unchanged: a
+    unimodular change of the relations, so the group is the same, and the
+    sums put entries of 2 beside units from the start."""
+    out = [dict(r) for r in rows]
+    for r, s in zip(out[::2], rows[1::2]):
+        for j, x in s.items():
+            z = r.get(j, 0) + x
+            if z:
+                r[j] = z
+            else:
+                del r[j]
+    return out
+
+
+def assert_unit_phase_agrees(g):
+    """``_sparse_snf`` on the walk's own rows and on their pairwise sums,
+    against the dense elimination alone and ``sympy`` on the walk's matrix."""
+    rows, free = _relation_walk(g)
+    mat = [[row.get(k, 0) for k in range(len(free))] for row in rows]
+    want = dense(mat)
+    assert want == by_sympy(mat)
+    assert _sparse_snf(paired_rows(rows)) == want
+    assert _sparse_snf(rows) == want
+    return want, len(free)
+
+
+class TestUnitPhase:
+    """Walk rows are all units, so the unit phase takes nearly every pivot;
+    it must take only pivots of absolute value 1, which divide their row and
+    their column, or the invariant factors come out wrong."""
+
+    def test_order_10_census_classes(self, census_graphs):
+        graphs = census_graphs(10)
+        assert len(graphs) == 500
+        with_torsion = 0
+        for g in graphs:
+            (factors, _), _ = assert_unit_phase_agrees(g)
+            with_torsion += any(d > 1 for d in factors)
+        assert with_torsion
+
+    def test_torsion_heavy_derived_graph(self):
+        (factors, rank), ngens = assert_unit_phase_agrees(derived("FABCDEDEFABCCDEFAB", 20))
+        assert ngens - rank == 4
+        assert [d for d in factors if d > 1] == [2] * 19
 
 
 @pytest.mark.parametrize("row", TABLE1, ids=lambda r: r.name)
