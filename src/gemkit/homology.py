@@ -6,13 +6,14 @@ All arithmetic uses Python integers, so there is no overflow at any size.
 then eliminate sparsely on ``{column: entry}`` rows, first on units, then on
 any entry that divides its row and its column (Dumas, Saunders & Villard,
 J. Symbolic Comput. 32, 2001); ``topology.first_homology`` hands the rows
-it builds to the same elimination unchecked.  What is left, usually nothing
-for relation matrices, goes to the dense elimination
-:func:`snf_with_column_transform`, which chooses pivots of minimal absolute
-value to keep entries small.  The covering solver calls it directly, since
-its matrices have few columns, and uses the column transform ``V`` it also
-returns: the solutions are combinations of the columns of ``V`` whose factor
-shares a divisor with the degree, so ``V`` fixes their order.
+it builds to :func:`group_from_relations` with ``checked=False``, straight
+to the same elimination.  What is left, usually nothing for relation
+matrices, goes to the dense elimination :func:`snf_with_column_transform`,
+which chooses pivots of minimal absolute value to keep entries small.  The
+covering solver calls it directly, since its matrices have few columns, and
+uses the column transform ``V`` it also returns: the solutions are
+combinations of the columns of ``V`` whose factor shares a divisor with the
+degree, so ``V`` fixes their order.
 """
 
 from __future__ import annotations
@@ -264,29 +265,26 @@ def _pivot(rows: list[dict[int, int]], cols: dict[int, set[int]], p: int, q: int
     return abs(x)
 
 
-def group_from_relations(num_generators: int, rows) -> HomologyGroup:
+def group_from_relations(num_generators: int, rows, *, checked: bool = True) -> HomologyGroup:
     """The abelian group on ``num_generators`` generators modulo the rows.
 
     A row is a sequence of ``num_generators`` integers or a sparse
     ``{column: entry}`` dict whose columns lie in ``range(num_generators)``.
+    With ``checked=False`` the rows must already be ``{column: entry}``
+    dicts of nonzero integers in range, as ``topology.first_homology``'s
+    are; they go to the sparse elimination as they are and are used up.
     """
-    sparse = []
-    for r in rows:
-        if not isinstance(r, dict):
-            if len(r) != num_generators:
-                raise ValueError("relation rows must match the generator count")
-            r = dict(enumerate(r))
-        sparse.append(dict(zip(map(index, r), map(index, r.values()))))
-    cols = set().union(*sparse)
-    if cols and not (0 <= min(cols) and max(cols) < num_generators):
-        raise ValueError("relation columns must lie in range(num_generators)")
-    sparse = [{j: x for j, x in r.items() if x} if 0 in r.values() else r for r in sparse]
-    return _group_from_rows(num_generators, sparse)
-
-
-def _group_from_rows(num_generators: int, rows: list[dict[int, int]]) -> HomologyGroup:
-    """:func:`group_from_relations` without its checks: the rows must be
-    ``{column: entry}`` dicts of nonzero integers whose columns lie in
-    ``range(num_generators)``, and they are used up."""
+    if checked:
+        sparse = []
+        for r in rows:
+            if not isinstance(r, dict):
+                if len(r) != num_generators:
+                    raise ValueError("relation rows must match the generator count")
+                r = dict(enumerate(r))
+            sparse.append(dict(zip(map(index, r), map(index, r.values()))))
+        cols = set().union(*sparse)
+        if cols and not (0 <= min(cols) and max(cols) < num_generators):
+            raise ValueError("relation columns must lie in range(num_generators)")
+        rows = [{j: x for j, x in r.items() if x} if 0 in r.values() else r for r in sparse]
     factors, rank = _sparse_snf(rows)
     return HomologyGroup(num_generators - rank, tuple(d for d in factors if d > 1))

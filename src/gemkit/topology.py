@@ -25,7 +25,7 @@ from gemkit.graphs import (
     _structure,
     residues,
 )
-from gemkit.homology import HomologyGroup, _group_from_rows
+from gemkit.homology import HomologyGroup, group_from_relations
 
 
 @dataclass(frozen=True)
@@ -195,13 +195,13 @@ def first_homology(g: ColoredGraph) -> HomologyGroup:
     After collapsing a spanning tree this leaves order+1 generators modulo
     the cycle relation rows; the Smith normal form reads off rank and
     invariant factors exactly.  The walk's ``{column: +-1}`` rows go to its
-    sparse unit phase without the checks of
-    :func:`gemkit.homology.group_from_relations`, which they would pass.
+    sparse unit phase through :func:`gemkit.homology.group_from_relations`
+    with ``checked=False``, as they would pass its checks.
     """
     if not _structure(g, cycles=False).connected:
         raise NotConnectedError("first_homology requires a connected graph")
     rows, free = _relation_walk(g)
-    return _group_from_rows(len(free), rows)
+    return group_from_relations(len(free), rows, checked=False)
 
 
 # ---------------------------------------------------------------------------

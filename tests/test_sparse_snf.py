@@ -7,10 +7,11 @@ Invariant factors are unique, so all three must agree exactly on every
 input, from tiny edge cases to the relation matrices of derived graphs.
 The sparse relation rows that ``first_homology`` eliminates are checked
 against a dense cycle walk written here, independently of the package.
-``first_homology`` hands those rows to the sparse phase without the checks
-of ``group_from_relations``: a proof test shows that they would pass them
-and that both routes give the same group, and an oracle test runs the unit
-phase on the walk's rows against the dense elimination and ``sympy``.
+``first_homology`` hands those rows to ``group_from_relations`` with
+``checked=False``, straight to the sparse phase: a proof test shows that
+they would pass its checks and that both routes give the same group, and an
+oracle test runs the unit phase on the walk's rows against the dense
+elimination and ``sympy``.
 """
 
 import random
@@ -38,12 +39,7 @@ from gemkit import (
 import gemkit.homology as homology
 import gemkit.topology as topology
 from gemkit.graphs import _structure
-from gemkit.homology import (
-    _group_from_rows,
-    _sparse_snf,
-    group_from_relations,
-    snf_with_column_transform,
-)
+from gemkit.homology import _sparse_snf, group_from_relations, snf_with_column_transform
 from gemkit.topology import _relation_walk, cycle_relation_rows
 from helpers import random_bipartite_graph, random_colored_graph
 
@@ -278,12 +274,13 @@ class TestRelationWalk:
 
         seen = []
 
-        def spy(n, rows):
+        def spy(n, rows, checked=True):
+            assert not checked
             seen.append(rows)
-            return _group_from_rows(n, rows)
+            return group_from_relations(n, rows, checked=checked)
 
         monkeypatch.setattr(topology, "cycle_relation_rows", refuse)
-        monkeypatch.setattr(topology, "_group_from_rows", spy)
+        monkeypatch.setattr(topology, "group_from_relations", spy)
         for code in COVERING_BASE_CODES:
             first_homology(derived(code, 8))
         assert len(seen) == 3 and all(isinstance(r, dict) for rows in seen for r in rows)
