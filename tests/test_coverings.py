@@ -1,13 +1,14 @@
 """Voltage assignments, derived graphs, admissibility and the solver."""
 
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from gemkit import (
     COLOR_PAIRS,
     COVERING_BASE_CODES,
+    TABLE1,
     ColoredGraph,
     ComplexityBounds,
     CoveringMap,
@@ -29,11 +30,14 @@ from gemkit import (
     is_connected,
     parse_code,
     relabeled,
+    smith_normal_form,
     verify_covering,
 )
+from gemkit.topology import cycle_relation_rows
 from helpers import (
     ALL_BUNDLED_CODES,
     bfs_tree,
+    mobius,
     random_bipartite_graph,
     random_colored_graph,
     reference_coverings,
@@ -433,6 +437,56 @@ class TestTrustedVoltageTable:
             if n == 1:
                 # no generator is kept: the one table is all zeros
                 assert [va.volt for va in found] == [((0,) * 4,) * base.order]
+
+
+class TestSharedRows:
+    """All tables of one solver call share one tuple per distinct row."""
+
+    @pytest.mark.parametrize("code", COVERING_BASE_CODES)
+    def test_one_object_per_distinct_row(self, code):
+        base = parse_code(code)
+        found = find_admissible_cyclic_coverings(base, 6, limit=None)
+        rows = [row for va in found for row in va.volt]
+        assert len(rows) == 12 * len(found) > len(set(rows))
+        assert len({id(row) for row in rows}) == len(set(rows))
+        for va in found:
+            assert va == VoltageAssignment(base, 6, va.volt)
+
+
+TABLE1_CODES = {row.name: row.code for row in TABLE1}
+
+
+class TestSolverCount:
+    """The number of solutions against a closed form that shares no code
+    with the solver's enumeration.  Connected Z_n coverings are the
+    surjections onto Z_n of the group with the relation rows, which has
+    prod_k gcd(d_k, m) homomorphisms onto Z_m for its Smith normal form
+    factors d_k (0 past the rank); Moebius inversion over the divisors of n
+    keeps the onto ones."""
+
+    @staticmethod
+    def closed_form(base, n):
+        rows, free = cycle_relation_rows(base)
+        factors, rank = smith_normal_form(rows)
+        d = factors + (0,) * (len(free) - rank)
+        return sum(
+            mobius(e) * prod(gcd(x, n // e) for x in d)
+            for e in range(1, n + 1)
+            if n % e == 0
+        )
+
+    @pytest.mark.parametrize(
+        "code", ("AAA", TABLE1_CODES["14^2_1"]) + COVERING_BASE_CODES
+    )
+    def test_degrees_one_to_eight(self, code):
+        base = parse_code(code)
+        for n in range(1, 9):
+            found = find_admissible_cyclic_coverings(base, n, None)
+            assert len(found) == self.closed_form(base, n)
+
+    def test_known_count(self):
+        # 8^5 - 4^5 surjections of Z^5 onto Z_8
+        assert self.closed_form(parse_code("DABCFEFEDABCBCFEDA"), 8) == 31744
 
 
 class TestComplexityBounds:
