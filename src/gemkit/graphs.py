@@ -60,9 +60,10 @@ class ColoredGraph:
     @classmethod
     def _trusted(cls, inv: tuple[tuple[int, ...], ...]) -> "ColoredGraph":
         """Wrap four involutions, a tuple of tuples, without checking them:
-        for :func:`parse_code`, the census leaves, :func:`derived_graph`,
-        :func:`relabeled` and :func:`recolored`, which build ``inv`` from
-        checked input and prove it in a test against ``ColoredGraph(inv)``.
+        for :func:`parse_code`, :meth:`from_blocks`, the census leaves,
+        :func:`derived_graph`, :func:`relabeled` and :func:`recolored`, which
+        build ``inv`` from checked input and prove it in a test against
+        ``ColoredGraph(inv)``.
 
         The result carries no deck hint (``_deck`` is 1), so the canonical
         kernel tries every start; only :func:`derived_graph` sets the hint,
@@ -88,7 +89,7 @@ class ColoredGraph:
         for b, block in enumerate(blocks, 1):
             if not block or sorted(block) != list(range(1, len(blocks[0]) + 1)):
                 raise ValueError("block %d is not a permutation of 1..p, p >= 1" % b)
-        return cls(_block_maps(blocks))
+        return cls._trusted(_block_maps(blocks))
 
     def neighbor(self, v: int, c: int) -> int:
         """The vertex joined to ``v`` by the color-``c`` edge."""

@@ -3,12 +3,13 @@ abelian groups presented by their invariant factors.
 
 All arithmetic uses Python integers, so there is no overflow at any size.
 :func:`smith_normal_form` and :func:`group_from_relations` check their rows,
-then eliminate sparsely on ``{column: entry}`` rows, first on units, then on
-any entry that divides its row and its column (Dumas, Saunders & Villard,
-J. Symbolic Comput. 32, 2001); ``topology.first_homology`` hands the rows
-it builds to :func:`group_from_relations` with ``checked=False``, straight
-to the same elimination.  What is left, usually nothing for relation
-matrices, goes to the dense elimination :func:`snf_with_column_transform`,
+then eliminate sparsely on ``{column: entry}`` rows in one loop that pivots
+on a unit where a row has one, else on an entry that divides its row and
+its column (Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001);
+``topology.first_homology`` hands the rows it builds to
+:func:`group_from_relations` with ``checked=False``, straight to the same
+elimination.  What is left, usually nothing for relation matrices, goes
+to the dense elimination :func:`snf_with_column_transform`,
 which chooses pivots of minimal absolute value to keep entries small.  The
 covering solver calls it directly, since its matrices have few columns, and
 uses the column transform ``V`` it also returns: the solutions are
@@ -41,11 +42,11 @@ class HomologyGroup:
         if index(self.rank) < 0:
             raise ValueError("rank must be non-negative")
         object.__setattr__(self, "torsion", tuple(index(d) for d in self.torsion))
+        if any(d < 2 for d in self.torsion):
+            raise ValueError("torsion coefficients must be at least 2")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise ValueError("torsion coefficients must form a divisibility chain")
-        if any(d < 2 for d in self.torsion):
-            raise ValueError("torsion coefficients must be at least 2")
 
     @property
     def trivial(self) -> bool:
@@ -165,11 +166,11 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], in
     nonsingular square matrix equals the absolute determinant.  With the rows
     checked, the sparse phase pivots on entries that divide their row and
     their column, from short rows in their sparsest column for low Markowitz
-    fill: a unit phase takes the rows shortest first, each on an entry of
-    absolute value 1, then passes take entries of least absolute value.  Row
-    operations clear the pivot's column and its absolute value is a diagonal
-    entry, as the rest of its row is a multiple of it.  One gcd/lcm pass over
-    these and the dense phase's factors restores the chain.
+    fill.  One loop of rounds takes the rows shortest first, each on an entry
+    of absolute value 1, else on its least entry, while a round finds a
+    pivot.  Row operations clear the pivot's column and its absolute value
+    is a diagonal entry, as the rest of its row is a multiple of it.  The
+    dense phase takes any rows left, and one gcd/lcm pass restores the chain.
     """
     if any(len(r) != len(mat[0]) for r in mat):
         raise ValueError("matrix rows have unequal lengths")
@@ -184,54 +185,60 @@ def _sparse_snf(rows: list[dict[int, int]]) -> tuple[tuple[int, ...], int]:
         for j in row:
             cols.setdefault(j, set()).add(i)
     found: list[int] = []  # |pivot| of each pivot, then the dense phase's factors
-    # unit phase: shortest rows first, each on its unit in the sparsest column;
-    # a grown row goes back in, one without a unit waits for the passes below
-    heap = [(len(r), i) for i, r in enumerate(rows) if r]
-    heapify(heap)
-    while heap:
-        length, p = heappop(heap)
-        prow = rows[p]
-        if len(prow) > length:
-            heappush(heap, (len(prow), p))
-            continue
-        q = fill = None
-        for j, x in prow.items():
-            if (x == 1 or x == -1) and (fill is None or len(cols[j]) < fill):
-                q, fill = j, len(cols[j])
-        if q is not None:
-            found.append(_pivot(rows, cols, p, q))
-    if not any(rows):  # units emptied every row: no passes, no chain to restore
-        return (1,) * len(found), len(found)
     done = -1
-    # each pass queues every row once by (least |entry|, length); a popped
-    # row whose key has grown goes back in.  A row with no pivot waits for
-    # the next pass: a column can lose the entry that blocked it.
+    # each round pops the non-empty rows shortest first, and a grown row goes
+    # back in.  A row with no pivot waits for the next round: a column can
+    # lose the entry that blocked it.
     while done < len(found):
         done = len(found)
-        heap = [(min(map(abs, r.values())), len(r), i) for i, r in enumerate(rows) if r]
+        heap = [(len(r), i) for i, r in enumerate(rows) if r]
         heapify(heap)
         while heap:
-            least, length, p = heappop(heap)
+            length, p = heappop(heap)
             prow = rows[p]
-            if not prow:
+            if len(prow) > length:
+                heappush(heap, (len(prow), p))
                 continue
-            key = min(map(abs, prow.values()))
-            if key > least or key == least and len(prow) > length:
-                heappush(heap, (key, len(prow), p))
-                continue
-            least = key
-            if least == 1:
-                ties = [j for j, x in prow.items() if x == 1 or x == -1]
-            else:
-                ties = [j for j, x in prow.items() if x == least or x == -least]
-                ties = [j for j in ties if all(rows[i][j] % least == 0 for i in cols[j])]
-                if not ties or any(x % least for x in prow.values()):
+            # the row's unit in its sparsest column, else its least entry if
+            # that divides the row, in its sparsest column that it divides
+            q = fill = None
+            for j, x in prow.items():
+                if (x == 1 or x == -1) and (fill is None or len(cols[j]) < fill):
+                    q, fill = j, len(cols[j])
+            if q is None and prow:
+                least = min(map(abs, prow.values()))
+                if any(x % least for x in prow.values()):
                     continue
-            q = min(ties, key=lambda j: len(cols[j]))
-            found.append(_pivot(rows, cols, p, q))
-    keep = sorted(j for j, members in cols.items() if members)
-    rest = [[row.get(j, 0) for j in keep] for row in rows if row]
-    found += snf_with_column_transform(rest)[0]
+                for j, x in prow.items():
+                    if (x == least or x == -least) and (fill is None or len(cols[j]) < fill):
+                        if all(rows[i][j] % least == 0 for i in cols[j]):
+                            q, fill = j, len(cols[j])
+            if q is None:
+                continue
+            # clear column q with the pivot, which divides all of row p, then
+            # retire row p and column q
+            for j in prow:
+                cols[j].discard(p)
+            x = prow.pop(q)
+            for i in cols.pop(q):
+                row = rows[i]
+                f = row.pop(q) // x
+                for j, y in prow.items():
+                    z = row.get(j, 0) - f * y
+                    if z:
+                        row[j] = z
+                        cols[j].add(i)
+                    else:
+                        del row[j]
+                        cols[j].discard(i)
+            prow.clear()
+            found.append(abs(x))
+    if any(rows):
+        keep = sorted(j for j, members in cols.items() if members)
+        rest = [[row.get(j, 0) for j in keep] for row in rows if row]
+        found += snf_with_column_transform(rest)[0]
+    elif found.count(1) == len(found):  # units emptied every row: no chain to restore
+        return (1,) * len(found), len(found)
     diagonal = Counter(found)
     # restore the chain: trade t copies each of two values that do not divide
     # each other for t of their gcd and t of their lcm (same prime exponents)
@@ -243,28 +250,6 @@ def _sparse_snf(rows: list[dict[int, int]]) -> tuple[tuple[int, ...], int]:
     del diagonal[1]
     torsion = tuple(sorted(diagonal.elements()))
     return (1,) * (len(found) - len(torsion)) + torsion, len(found)
-
-
-def _pivot(rows: list[dict[int, int]], cols: dict[int, set[int]], p: int, q: int) -> int:
-    """Clear column ``q`` with row ``p``'s entry there, which divides all of
-    row ``p``, then retire row ``p`` and column ``q``; returns |entry|."""
-    prow = rows[p]
-    for j in prow:
-        cols[j].discard(p)
-    x = prow.pop(q)
-    for i in cols.pop(q):
-        row = rows[i]
-        f = row.pop(q) // x
-        for j, y in prow.items():
-            z = row.get(j, 0) - f * y
-            if z:
-                row[j] = z
-                cols[j].add(i)
-            else:
-                del row[j]
-                cols[j].discard(i)
-    prow.clear()
-    return abs(x)
 
 
 def group_from_relations(num_generators: int, rows, *, checked: bool = True) -> HomologyGroup:

@@ -194,9 +194,10 @@ def first_homology(g: ColoredGraph) -> HomologyGroup:
     per graph vertex, one 1-cell per edge, one 2-cell per bicolored cycle.
     After collapsing a spanning tree this leaves order+1 generators modulo
     the cycle relation rows; the Smith normal form reads off rank and
-    invariant factors exactly.  The walk's ``{column: +-1}`` rows go to its
-    sparse unit phase through :func:`gemkit.homology.group_from_relations`
-    with ``checked=False``, as they would pass its checks.
+    invariant factors exactly.  The walk's ``{column: +-1}`` rows go
+    straight to its one sparse elimination loop through
+    :func:`gemkit.homology.group_from_relations` with ``checked=False``, as
+    they would pass its checks.
     """
     if not _structure(g, cycles=False).connected:
         raise NotConnectedError("first_homology requires a connected graph")

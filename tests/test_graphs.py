@@ -25,6 +25,7 @@ from gemkit import (
     relabeled,
     residues,
 )
+from gemkit.graphs import _block_maps
 from helpers import (
     ALL_BUNDLED_CODES,
     NON_BIPARTITE_INVS,
@@ -297,8 +298,16 @@ class TestFromBlocks:
 
 
 class TestTrustedBuilds:
-    """``relabeled`` and ``recolored`` wrap their maps unchecked: each result
-    must equal the validated build of the same maps."""
+    """``from_blocks``, ``relabeled`` and ``recolored`` wrap their maps
+    unchecked: each result must equal the validated build of the same maps."""
+
+    def test_from_blocks(self):
+        rng = random.Random(61)
+        for p in list(range(1, 9)) * 5 + [20, 50]:
+            blocks = [rng.sample(range(1, p + 1), p) for _ in range(3)]
+            g = ColoredGraph.from_blocks(blocks)
+            assert g == ColoredGraph(_block_maps(blocks))
+            assert g.order == 2 * p
 
     @staticmethod
     def graphs():

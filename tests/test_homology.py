@@ -37,6 +37,8 @@ class TestHomologyGroup:
             HomologyGroup(0, (4, 2))  # 2 does not divide into place
         with pytest.raises(ValueError):
             HomologyGroup(0, (2, 3))  # 3 not a multiple of 2
+        with pytest.raises(ValueError, match="at least 2"):
+            HomologyGroup(0, (0, 2))  # checked before the chain's modulo
 
     def test_non_integer_rank_and_torsion_rejected(self):
         # truncation would print Z^1 and Z/2

@@ -1,6 +1,6 @@
-"""The sparse phase of ``smith_normal_form``, unit and non-unit pivots and
-the gcd/lcm pass that restores the divisibility chain, against two
-independent Smith normal forms: the dense elimination alone
+"""The sparse phase of ``smith_normal_form``, one elimination loop over unit
+and non-unit pivots and the gcd/lcm pass that restores the divisibility
+chain, against two independent Smith normal forms: the dense elimination alone
 (``snf_with_column_transform``) and ``sympy``'s.
 
 Invariant factors are unique, so all three must agree exactly on every
@@ -10,7 +10,7 @@ against a dense cycle walk written here, independently of the package.
 ``first_homology`` hands those rows to ``group_from_relations`` with
 ``checked=False``, straight to the sparse phase: a proof test shows that
 they would pass its checks and that both routes give the same group, and an
-oracle test runs the unit phase on the walk's rows against the dense
+oracle test runs the sparse phase on the walk's rows against the dense
 elimination and ``sympy``.
 """
 
@@ -194,6 +194,20 @@ class TestRandomSparse:
             assert_agrees(unit_heavy_matrix(rng, nrows, ncols, density=0.1))
 
 
+class LoggedRow(dict):
+    """A ``{column: entry}`` row that logs its name when the elimination
+    clears it, which it does only to the row it has just pivoted on."""
+
+    def __init__(self, name, log, entries):
+        super().__init__(entries)
+        self.name = name
+        self.log = log
+
+    def clear(self):
+        self.log.append(self.name)
+        super().clear()
+
+
 def spy_on_dense_phase(monkeypatch):
     """Record every matrix the sparse phase hands to the dense phase."""
     remainders = []
@@ -222,7 +236,7 @@ class TestNonUnitPivots:
     def test_divisible_pivots_stay_sparse(self, monkeypatch, mat, factors):
         remainders = spy_on_dense_phase(monkeypatch)
         assert assert_agrees(mat) == (factors, len(factors))
-        assert remainders[0] == []
+        assert remainders == []
 
     @pytest.mark.parametrize(
         "mat, factors",
@@ -250,6 +264,20 @@ class TestNonUnitPivots:
     def test_units_alone_skip_the_dense_phase(self, monkeypatch, mat, factors):
         remainders = spy_on_dense_phase(monkeypatch)
         assert assert_agrees(mat) == (factors, len(factors))
+        assert remainders == []
+
+    def test_short_non_unit_pivot_comes_before_a_longer_unit_pivot(self, monkeypatch):
+        # one round pops the rows shortest first: row 0 holds no unit, but its
+        # 2 divides its row and its column, so it is pivoted on before row 1
+        mat = [[2, 0, 0], [4, 1, -1]]
+        pivoted = []
+        rows = [
+            LoggedRow(i, pivoted, {j: x for j, x in enumerate(r) if x})
+            for i, r in enumerate(mat)
+        ]
+        remainders = spy_on_dense_phase(monkeypatch)
+        assert _sparse_snf(rows) == dense(mat) == by_sympy(mat) == ((1, 2), 2)
+        assert pivoted == [0, 1]
         assert remainders == []
 
     def test_many_equal_torsion_entries(self):
@@ -407,9 +435,9 @@ def assert_unit_phase_agrees(g):
 
 
 class TestUnitPhase:
-    """Walk rows are all units, so the unit phase takes nearly every pivot;
-    it must take only pivots of absolute value 1, which divide their row and
-    their column, or the invariant factors come out wrong."""
+    """Walk rows are all units, so nearly every pivot the elimination takes
+    on them is a unit, which divides its row and its column; any other pivot
+    must divide both too, or the invariant factors come out wrong."""
 
     def test_order_10_census_classes(self, census_graphs):
         graphs = census_graphs(10)
@@ -468,10 +496,10 @@ def test_dense_phase_never_receives_a_unit(monkeypatch):
 def test_covering_bases_leave_no_dense_residue(monkeypatch, code, n):
     total = derived(code, n)
     remainders = spy_on_dense_phase(monkeypatch)
-    group = first_homology(total)
-    # on the torsion-free bases the unit pivots empty every row and the dense
-    # phase is not called; the other's torsion pivots leave it nothing
-    assert remainders == ([[]] if group.torsion else [])
+    first_homology(total)
+    # the pivots empty every row, units alone on the torsion-free bases, so
+    # the dense phase is not called
+    assert remainders == []
 
 
 @pytest.mark.parametrize(
