@@ -237,8 +237,6 @@ def _sparse_snf(rows: list[dict[int, int]]) -> tuple[tuple[int, ...], int]:
         keep = sorted(j for j, members in cols.items() if members)
         rest = [[row.get(j, 0) for j in keep] for row in rows if row]
         found += snf_with_column_transform(rest)[0]
-    elif found.count(1) == len(found):  # units emptied every row: no chain to restore
-        return (1,) * len(found), len(found)
     diagonal = Counter(found)
     # restore the chain: trade t copies each of two values that do not divide
     # each other for t of their gcd and t of their lcm (same prime exponents)
