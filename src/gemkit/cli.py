@@ -17,15 +17,11 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from itertools import chain, islice
 from typing import Iterator, Optional, Sequence
 
 import gemkit.census as census_mod
-from gemkit.coverings import (
-    DERIVED_ORDER_CAP,
-    derived_graph,
-    find_admissible_cyclic_coverings,
-    is_admissible,
-)
+from gemkit.coverings import DERIVED_ORDER_CAP, _solutions, derived_graph, is_admissible
 from gemkit.errors import GemError
 from gemkit.graphs import _structure, canonical_code, parse_code
 from gemkit.topology import invariant_report
@@ -118,12 +114,15 @@ def _cmd_cover(args) -> int:
     order = base.order * args.degree
     if order > DERIVED_ORDER_CAP:
         raise ValueError("derived order %d exceeds the cap %d" % (order, DERIVED_ORDER_CAP))
-    solutions = find_admissible_cyclic_coverings(base, args.degree, limit=args.limit)
+    solutions = _solutions(base, args.degree, args.limit)
+    # solve for the first table before any output, so a solver error comes
+    # first; the rest are solved one at a time as they are written
+    first = list(islice(solutions, 1))
     free = _structure(base, cycles=False).free
     # one JSON object, written record by record as each is computed
     out = sys.stdout
     out.write('{"base_code":%s,"n":%d,"solutions":[' % (_json_line(args.code), args.degree))
-    for i, va in enumerate(solutions):
+    for i, va in enumerate(chain(first, solutions)):
         total, cm = derived_graph(va)
         report = invariant_report(total)
         record = {

@@ -13,10 +13,10 @@ face-to-face are unbranched on the interior and on all vertex links.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import gcd
-from operator import add, index
-from typing import Optional, Sequence
+from itertools import islice, product
+from math import gcd, prod
+from operator import getitem, index
+from typing import Iterator, Optional, Sequence
 
 from gemkit.errors import (
     NoAdmissibleCoveringError,
@@ -64,7 +64,7 @@ class VoltageAssignment:
     @classmethod
     def _trusted(cls, base: ColoredGraph, n: int, table: tuple) -> "VoltageAssignment":
         """Wrap a table of 4-tuples, reduced mod n and antisymmetric, unchecked.
-        Its one caller is :func:`find_admissible_cyclic_coverings`, and the
+        Its one caller is the covering solver :func:`_voltage_tables`, and the
         test ``TestTrustedVoltageTable`` proves each of its results equal to
         the validating build ``VoltageAssignment(base, n, va.volt)``."""
         va = object.__new__(cls)
@@ -204,19 +204,33 @@ def find_admissible_cyclic_coverings(
     system in the non-tree voltages, ``U A V = D`` in Smith normal form.
     Its solutions mod n are the sums ``x = sum t_k (n / g_k) V[:, k]`` with
     ``0 <= t_k < g_k = gcd(d_k, n)`` (``d_k = 0`` past the rank) over the k
-    with ``g_k > 1``, enumerated in lexicographic order of the ``t_k``; the
-    multiples of all but the last such k are summed once per run of it.
+    with ``g_k > 1``, enumerated in lexicographic order of the ``t_k``.
     Those whose values generate Z_n, so that the derived graph is
     connected, are kept, wrapped without re-validation (the tables are
-    built reduced and antisymmetric).  The returned tables share one tuple
-    per distinct row: the 31,744 tables of degree 8 over
+    built reduced and antisymmetric).
+
+    A table's row at a vertex holds the voltages of that vertex's darts,
+    so it is the sum mod n of the rows of a *head*, a combination of the
+    leading generators, and a *tail*, a combination of the rest; the cut
+    falls where the head's combinations first number at least the square
+    root of all of them.  Each head and tail is turned into rows once, and
+    each (vertex, head row) keeps its sums with that vertex's distinct tail
+    rows, so a table is one lookup per vertex.  The tails are found while
+    the first head runs and are cached for the others, so a call with a
+    small limit solves little.  The returned tables share one tuple per
+    distinct row: the 31,744 tables of degree 8 over
     ``DABCFEFEDABCBCFEDA`` hold 960 distinct rows and take about 0.2 KB
-    each (1.1 KB with a tuple per row), and the degree-8 solve over the
-    three covering bases peaks at about 27 MB in a fresh Python 3.11
-    process (60 MB with a tuple per row).  Returns at most ``limit`` of them
+    each (1.1 KB with a tuple per row).  Returns at most ``limit`` of them
     (all when ``limit`` is None); with a positive limit, an empty list
     means no admissible connected covering of this degree exists.
     """
+    return list(_solutions(base, n, limit))
+
+
+def _solutions(base: ColoredGraph, n: int, limit: Optional[int]) -> Iterator[VoltageAssignment]:
+    """:func:`find_admissible_cyclic_coverings` one table at a time: the
+    arguments are checked at once, and each table is solved for as the
+    iterator is consumed."""
     n = index(n)
     limit = None if limit is None else index(limit)
     if n < 1:
@@ -225,40 +239,83 @@ def find_admissible_cyclic_coverings(
         raise ValueError("the solution limit must not be negative")
     if not is_connected(base):
         raise NotConnectedError("voltage solving requires a connected base")
-    if limit == 0:
-        return []
+    return islice(_voltage_tables(base, n), limit)
+
+
+def _voltage_tables(base: ColoredGraph, n: int) -> Iterator[VoltageAssignment]:
+    """The solver's tables in order, for arguments already checked."""
     rows, free = cycle_relation_rows(base)
     factors, rank, V = snf_with_column_transform(rows)
     counts = [gcd(d, n) for d in factors + (0,) * (len(free) - rank)]
     kept = [k for k, g in enumerate(counts) if g > 1]
-    mults = [
-        [tuple(t * (n // counts[k]) * row[k] % n for row in V) for t in range(counts[k])]
-        for k in kept
-    ]
-    # the last kept generator varies innermost: the others' multiples are
-    # summed once per run of it (a run of one zero when nothing is kept)
-    zero = (0,) * len(free)
-    tails = mults.pop() if mults else [zero]
+    total = prod(counts[k] for k in kept)
+    cut, size = 0, 1
+    while size * size < total:
+        size *= counts[kept[cut]]
+        cut += 1
     # each free dart and its reverse, as positions in the flat order x 4 table
     pos = [(4 * t + c, 4 * base.inv[c][t] + c) for t, c in free]
-    flat = [0] * (4 * base.order)
-    shared: dict[tuple, tuple] = {}  # one tuple per distinct row, for all tables
-    out: list[VoltageAssignment] = []
-    for chosen in product(*mults):
-        head = list(map(sum, zip(zero, *chosen)))
-        for tail in tails:
-            x = [s % n for s in map(add, head, tail)]
-            if gcd(n, *x) != 1:
-                continue
-            for (p, q), val in zip(pos, x):
+    vertices = range(base.order)
+
+    def combinations(gens):
+        """gcd(n, *y) and the per-vertex rows of each combination y of
+        these generators, in product order."""
+        steps = [range(0, n, n // counts[k]) for k in gens]
+        for ys in product(*steps):
+            flat = [0] * (4 * base.order)
+            for (p, q), row in zip(pos, V):
+                val = sum(y * row[k] for y, k in zip(ys, gens)) % n
                 flat[p] = val
                 flat[q] = -val % n
-            rows4 = tuple(zip(*[iter(flat)] * 4))
-            table = tuple(map(shared.setdefault, rows4, rows4))
-            out.append(VoltageAssignment._trusted(base, n, table))
-            if limit is not None and len(out) >= limit:
-                return out
-    return out
+            yield gcd(n, *ys), tuple(zip(*[iter(flat)] * 4))
+
+    shared: dict[tuple, tuple] = {}  # one tuple per distinct row, for all tables
+
+    def summed(head_row, tail_row):
+        row = tuple([(a + b) % n for a, b in zip(head_row, tail_row)])
+        return shared.setdefault(row, row)
+
+    tail_ids: list[dict] = [{} for _ in vertices]  # tail row -> its id, per vertex
+    sums: list[dict] = [{} for _ in vertices]  # head row -> its sums by tail id
+
+    def tail_id(v, tail_row):
+        ids = tail_ids[v]
+        i = ids.get(tail_row)
+        if i is None:
+            i = ids[tail_row] = len(ids)
+            for head_row, row_sums in sums[v].items():
+                row_sums.append(summed(head_row, tail_row))
+        return i
+
+    def sums_for(v, head_row):
+        row_sums = sums[v].get(head_row)
+        if row_sums is None:
+            row_sums = sums[v][head_row] = [summed(head_row, t) for t in tail_ids[v]]
+        return row_sums
+
+    tails: list[tuple[int, tuple]] = []  # gcd and per-vertex row ids of each tail
+
+    def discover():
+        for tail_g, tail_rows in combinations(kept[cut:]):
+            tails.append((tail_g, tuple(map(tail_id, vertices, tail_rows))))
+            yield tails[-1]
+
+    # x = V y with V unimodular, so y = V^-1 x is integral too, and n and
+    # the x_i have the same common divisors as n and the y_k: the derived
+    # graph is connected exactly when gcd(n, *y) = 1.  The y_k = t_k n / g_k
+    # split between head and tail, so that is gcd(head_g, tail_g) = 1 for
+    # head_g = gcd(n, *head's y) and tail_g = gcd(n, *tail's y).
+    connecting: dict[int, list[tuple]] = {}  # head gcd -> ids of the tails it keeps
+    for i, (head_g, head_rows) in enumerate(combinations(kept[:cut])):
+        head_sums = list(map(sums_for, vertices, head_rows))
+        if i == 0:  # the tails are found while the first head runs
+            chosen = (ids for tail_g, ids in discover() if gcd(head_g, tail_g) == 1)
+        else:
+            if head_g not in connecting:
+                connecting[head_g] = [ids for tail_g, ids in tails if gcd(head_g, tail_g) == 1]
+            chosen = connecting[head_g]
+        for ids in chosen:
+            yield VoltageAssignment._trusted(base, n, tuple(map(getitem, head_sums, ids)))
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,8 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], in
     of absolute value 1, else on its least entry, while a round finds a
     pivot.  Row operations clear the pivot's column and its absolute value
     is a diagonal entry, as the rest of its row is a multiple of it.  The
-    dense phase takes any rows left, and one gcd/lcm pass restores the chain.
+    dense phase takes any rows left, and a gcd/lcm pass restores the chain
+    where the sorted non-unit factors break it.
     """
     if any(len(r) != len(mat[0]) for r in mat):
         raise ValueError("matrix rows have unequal lengths")
@@ -237,17 +238,20 @@ def _sparse_snf(rows: list[dict[int, int]]) -> tuple[tuple[int, ...], int]:
         keep = sorted(j for j, members in cols.items() if members)
         rest = [[row.get(j, 0) for j in keep] for row in rows if row]
         found += snf_with_column_transform(rest)[0]
-    diagonal = Counter(found)
-    # restore the chain: trade t copies each of two values that do not divide
-    # each other for t of their gcd and t of their lcm (same prime exponents)
-    while ab := next(((a, b) for a in diagonal for b in diagonal if a < b and b % a), None):
-        a, b = ab
-        t = min(diagonal[a], diagonal[b])
-        diagonal -= Counter({a: t, b: t})
-        diagonal += Counter({gcd(a, b): t, lcm(a, b): t})
-    del diagonal[1]
-    torsion = tuple(sorted(diagonal.elements()))
-    return (1,) * (len(found) - len(torsion)) + torsion, len(found)
+    torsion = sorted(d for d in found if d > 1)
+    if any(b % a for a, b in zip(torsion, torsion[1:])):
+        diagonal = Counter(torsion)
+        # restore the chain: trade t copies each of two values that do not
+        # divide each other for t of their gcd and t of their lcm (same prime
+        # exponents)
+        while ab := next(((a, b) for a in diagonal for b in diagonal if a < b and b % a), None):
+            a, b = ab
+            t = min(diagonal[a], diagonal[b])
+            diagonal -= Counter({a: t, b: t})
+            diagonal += Counter({gcd(a, b): t, lcm(a, b): t})
+        del diagonal[1]
+        torsion = sorted(diagonal.elements())
+    return (1,) * (len(found) - len(torsion)) + tuple(torsion), len(found)
 
 
 def group_from_relations(num_generators: int, rows, *, checked: bool = True) -> HomologyGroup:

@@ -295,6 +295,24 @@ class TestCover:
         assert seen == [head, head + first]
         assert buf.getvalue().endswith("}]}\n")
 
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_limit_pulls_no_table_past_it(self, capsys, monkeypatch, k):
+        import gemkit.coverings as coverings
+
+        solve = coverings._voltage_tables
+
+        def stub(base, n):
+            for i, va in enumerate(solve(base, n)):
+                if i == k:
+                    raise AssertionError("table %d pulled under --limit %d" % (i + 1, k))
+                yield va
+
+        monkeypatch.setattr(coverings, "_voltage_tables", stub)
+        rc, out, _ = run(
+            capsys, ["cover", "--code", BASE1, "--degree", "3", "--limit", str(k)]
+        )
+        assert rc == 0 and len(json.loads(out)["solutions"]) == k
+
     def test_cap_admits_every_documented_degree(self):
         from gemkit.coverings import DERIVED_ORDER_CAP
 
@@ -316,7 +334,7 @@ class TestCover:
         def must_not_run(*args, **kwargs):
             raise AssertionError("solver or derived graph reached above the cap")
 
-        monkeypatch.setattr(cli, "find_admissible_cyclic_coverings", must_not_run)
+        monkeypatch.setattr(cli, "_solutions", must_not_run)
         monkeypatch.setattr(cli, "derived_graph", must_not_run)
         rc, out, err = run(
             capsys, ["cover", "--code", BASE1, "--degree", "1000000000"]

@@ -46,6 +46,7 @@ from helpers import (
 )
 
 BASE_CODES = ALL_BUNDLED_CODES[-3:]
+TABLE1_CODES = {row.name: row.code for row in TABLE1}
 
 
 def random_voltage(rng, base, n):
@@ -387,7 +388,8 @@ class TestSolver:
 
 class TestSolverOrder:
     """The solver against the former box enumeration over every Smith
-    normal form coordinate: the same tables in the same order."""
+    normal form coordinate, with the connectivity test on ``x = V y``
+    itself: the same tables in the same order."""
 
     @staticmethod
     def tables(base, n, limit=None):
@@ -395,11 +397,24 @@ class TestSolverOrder:
 
     @pytest.mark.parametrize("code", BASE_CODES)
     def test_covering_bases(self, code):
+        # from n = 2 on, the head and the tail each hold at least two kept
+        # generators; degree 8 is the benchmark's
         base = parse_code(code)
-        for n in range(1, 7):
+        for n in range(1, 10):
             assert self.tables(base, n) == reference_coverings(base, n)
+        for n in (20, 400):
+            for k in (1, 5):
+                assert self.tables(base, n, k) == reference_coverings(base, n, k)
+
+    @pytest.mark.parametrize("n", (2, 4, 6))
+    def test_torsion_generator(self, n):
+        # H1 = Z^3 + Z/2: the factor-2 generator is kept with count 2 < n
+        # at n = 4 and 6, so its multiples step by n / 2 > 1
+        base = parse_code(TABLE1_CODES["14^3_2"])
+        assert first_homology(base) == HomologyGroup(3, (2,))
+        assert self.tables(base, n) == reference_coverings(base, n)
         for k in (1, 5):
-            assert self.tables(base, 20, k) == reference_coverings(base, 20, k)
+            assert self.tables(base, n, k) == reference_coverings(base, n, k)
 
     def test_random_connected_graphs(self):
         rng = random.Random(2024)
@@ -445,15 +460,12 @@ class TestSharedRows:
     @pytest.mark.parametrize("code", COVERING_BASE_CODES)
     def test_one_object_per_distinct_row(self, code):
         base = parse_code(code)
-        found = find_admissible_cyclic_coverings(base, 6, limit=None)
+        found = find_admissible_cyclic_coverings(base, 8, limit=None)
         rows = [row for va in found for row in va.volt]
         assert len(rows) == 12 * len(found) > len(set(rows))
         assert len({id(row) for row in rows}) == len(set(rows))
         for va in found:
-            assert va == VoltageAssignment(base, 6, va.volt)
-
-
-TABLE1_CODES = {row.name: row.code for row in TABLE1}
+            assert va == VoltageAssignment(base, 8, va.volt)
 
 
 class TestSolverCount:

@@ -286,6 +286,11 @@ class TestNonUnitPivots:
         mat[0][0] = 3
         assert smith_normal_form(mat) == ((1,) + (2,) * 398 + (6,), 400)
 
+    def test_two_equal_halves_of_coprime_entries(self):
+        # one trade turns 200 twos and 200 threes into 200 ones and 200 sixes
+        mat = [[(2 if i < 200 else 3) if i == j else 0 for j in range(400)] for i in range(400)]
+        assert assert_agrees(mat) == ((1,) * 200 + (6,) * 200, 400)
+
     @pytest.mark.parametrize(
         "scales", [(2,), (2, 4), (2, 4, 8), (3, 6, 12), (2, 3), (4, 6, 9)]
     )
