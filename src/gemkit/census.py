@@ -31,18 +31,31 @@ starts with 2, and when the ceiling starts ``[2, 1]``, or the leaf has a
 bicolored 4-cycle, only the starts on a 4-cycle of the first two permuted
 colors are tried: every other start gives a list starting ``2, k`` with
 k >= 3.  The generator itself is unchanged by this rule.
+
+Prefix rule: at the start of rows 2 to p-2, a node whose code starts
+``[1, k]`` with k > 2 is cut when some start on a double edge, under a color
+permutation that puts the edge's two colors first, reads entry 1 below k
+from filled slots alone (``_second_entry``).  Every completion then has a
+traversal list starting ``[1, j]`` with j < k, so every leaf below would
+fail ``beats_entries``: the entries and their order stay the same.  The last
+row is left out, as its nodes are about as many as its leaves.  Leaves fall
+from 13,157 to 7,754 at order 10 and from 489,407 to 242,769 at order 12.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import permutations
 from typing import IO, Iterable, Iterator, Optional
 
 from gemkit.data import CENSUS_FORMAT, TABLE1, Table1Row
 from gemkit.errors import CapExceededError, GemError
 from gemkit.graphs import (
+    COLOR_PAIRS,
+    COLORS,
     ColoredGraph,
+    _second_entry,
     beats_entries,
     canonical_code,
     is_connected,
@@ -54,6 +67,12 @@ from gemkit.topology import boundary_profile, first_homology, invariant_report
 
 #: Largest order the exhaustive search is allowed to attempt.
 ENUMERATION_CAP = 12
+
+# each color pair with the four color permutations that put it first
+_PAIR_FIRST = tuple(
+    (a, b, [sigma for sigma in permutations(COLORS) if {a, b} == {*sigma[:2]}])
+    for a, b in COLOR_PAIRS
+)
 
 
 @dataclass(frozen=True)
@@ -86,6 +105,16 @@ def enumerate_gems(order: int) -> Iterator[CensusEntry]:
         i, c = divmod(t, 3)
         if c == 0 and i and maxseen < i + 1:
             return  # pair i+1 was never discovered: the graph is disconnected
+        if c == 0 and 1 < i < p - 1 and maps[1][0] == p and maps[1][1] > p + 1:
+            # prefix rule; None (an open slot) reads as k, and a negative
+            # vertex has no partner but its color-0 one before its row
+            k = maps[1][1] - p + 1
+            for s in (*range(i), *range(p, order)):
+                for a, b, sigmas in _PAIR_FIRST:
+                    if maps[a][s] == maps[b][s] >= 0 and any(
+                        (_second_entry(maps, sigma, s) or k) < k for sigma in sigmas
+                    ):
+                        return
         top = maxseen + 1 if maxseen < p else p
         m = maps[c + 1]
         # once the code starts with 2, a partner that i already meets would

@@ -26,7 +26,12 @@ from gemkit import (
     recolored,
     relabeled,
 )
-from gemkit.graphs import _least_traversal, beats_entries, canonical_entries
+from gemkit.graphs import (
+    _least_traversal,
+    _second_entry,
+    beats_entries,
+    canonical_entries,
+)
 from helpers import (
     TABLE_CODES,
     all_traversals,
@@ -412,3 +417,81 @@ def test_first_start_tried_lies_on_a_four_cycle():
         p = g.order // 2
         found = _least_traversal(g, [2, g.order] + [0] * (p - 2), True)
         assert found[:2] == [2, 1]
+
+
+# ---------------------------------------------------------------------------
+# census prefix rule: entry 1 from a doubled start, read off partial maps
+# ---------------------------------------------------------------------------
+
+
+def doubled_starts(maps):
+    """Every ``(sigma, s)`` whose colors sigma0 and sigma1 join ``s`` to one
+    vertex through filled slots."""
+    return [
+        (sigma, s)
+        for sigma in permutations(COLORS)
+        for s in range(len(maps[0]))
+        if maps[sigma[0]][s] == maps[sigma[1]][s] >= 0
+    ]
+
+
+def test_second_entry_matches_full_traversal():
+    rng = random.Random(101)
+    checked = 0
+    for p in range(1, 9):
+        graphs = [random_connected_bipartite(rng, p) for _ in range(6)]
+        graphs += [planted_double_edge(rng, p) for _ in range(6)]
+        for g in graphs:
+            for sigma, s in doubled_starts(g.inv):
+                # with one vertex pair the list has no block-1 entry 1
+                want = full_traversal(g, sigma, s)[1] if p > 1 else None
+                assert _second_entry(g.inv, sigma, s) == want, (g.inv, sigma, s)
+                checked += 1
+    assert checked > 4000
+
+
+def opened(rng, g, share):
+    """``g``'s maps as lists with each edge's two slots opened (-1) with
+    probability ``share``."""
+    maps = [list(m) for m in g.inv]
+    for c, m in enumerate(maps):
+        for v, w in enumerate(g.inv[c]):
+            if v < w and rng.random() < share:
+                m[v] = m[w] = -1
+    return maps
+
+
+def completed(rng, maps, p):
+    """A random bipartite completion of ``opened`` maps: per color, the open
+    negative slots matched to the open positive ones at random."""
+    out = []
+    for m in maps:
+        m = list(m)
+        free = [v for v in range(2 * p) if m[v] < 0]
+        neg, pos = [v for v in free if v < p], [v for v in free if v >= p]
+        rng.shuffle(pos)
+        for v, w in zip(neg, pos):
+            m[v], m[w] = w, v
+        out.append(m)
+    return ColoredGraph(out)
+
+
+def test_second_entry_is_fixed_by_the_filled_slots():
+    rng = random.Random(103)
+    read = unread = compared = 0
+    for p in range(2, 9):
+        for _ in range(12):
+            g = planted_double_edge(rng, p)
+            maps = opened(rng, g, rng.choice((0.2, 0.4, 0.6)))
+            completions = [completed(rng, maps, p) for _ in range(6)]
+            completions = [h for h in completions if is_connected(h)]
+            for sigma, s in doubled_starts(maps):
+                got = _second_entry(maps, sigma, s)
+                if got is None:
+                    unread += 1
+                    continue
+                read += 1
+                for h in completions:
+                    assert full_traversal(h, sigma, s)[1] == got, (maps, sigma, s)
+                    compared += 1
+    assert read > 400 and unread > 800 and compared > 2500

@@ -27,6 +27,7 @@ from gemkit import (
 )
 from gemkit.census import ENUMERATION_CAP, CensusEntry, write_census
 from gemkit.data import Table1Row
+from gemkit.graphs import beats_entries
 from helpers import (
     ORDER8_Z2_CODE,
     automorphism_count,
@@ -38,13 +39,16 @@ from helpers import (
 
 @pytest.fixture(scope="module")
 def census_leaves():
-    """``run(order)`` gives the census classes of one order and every
-    ``(graph, ceiling)`` leaf the generator handed to ``beats_entries``."""
+    """``run(order)`` gives the census entries of one order and every
+    ``(graph, ceiling)`` leaf the generator handed to ``beats_entries``;
+    ``run(order, reference=True)`` gives the same for the former generator."""
     runs = {}
-    real = census_mod.beats_entries
 
-    def run(order):
-        if order not in runs:
+    def run(order, reference=False):
+        if (order, reference) not in runs:
+            module = helpers if reference else census_mod
+            generate = reference_enumerate_gems if reference else enumerate_gems
+            real = module.beats_entries
             leaves = []
 
             def spy(g, ceiling):
@@ -52,10 +56,10 @@ def census_leaves():
                 return real(g, ceiling)
 
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(census_mod, "beats_entries", spy)
-                classes = [e.canonical for e in enumerate_gems(order)]
-            runs[order] = classes, leaves
-        return runs[order]
+                mp.setattr(module, "beats_entries", spy)
+                entries = list(generate(order))
+            runs[order, reference] = entries, leaves
+        return runs[order, reference]
 
     return run
 
@@ -119,33 +123,38 @@ class TestEnumerate:
         "order, leaf_count", [(2, 1), (4, 3), (6, 29), (8, 503), (10, 13157)]
     )
     def test_leaf_count_is_orbit_sum(self, census_leaves, order, leaf_count):
-        # each class leaves one leaf per automorphism orbit of the starts it
-        # keeps, so a dropped or duplicated class breaks the sum
-        classes, leaves = census_leaves(order)
+        # each class leaves the former generator one leaf per automorphism
+        # orbit of the starts it keeps, so a dropped or duplicated class
+        # breaks the sum
+        entries, leaves = census_leaves(order, reference=True)
         total = Fraction(0)
-        for code in classes:
-            g = parse_code(code)
+        for e in entries:
+            g = parse_code(e.canonical)
             total += Fraction(census_start_count(g), automorphism_count(g))
         assert total == len(leaves) == leaf_count
 
+    @pytest.mark.parametrize(
+        "order, leaf_count", [(2, 1), (4, 3), (6, 29), (8, 391), (10, 7754)]
+    )
+    def test_prefix_rule_leaf_count(self, census_leaves, order, leaf_count):
+        assert len(census_leaves(order)[1]) == leaf_count
+
     @pytest.mark.parametrize("order", [2, 4, 6, 8, 10])
-    def test_leaves_and_classes_match_former_generator(
-        self, census_leaves, monkeypatch, order
-    ):
-        # the in-place search hands the kernel the former search's leaves
-        # and yields its classes, both in the same order
-        want_leaves = []
-        real = helpers.beats_entries
-
-        def spy(g, ceiling):
-            want_leaves.append((g.inv, list(ceiling)))
-            return real(g, ceiling)
-
-        monkeypatch.setattr(helpers, "beats_entries", spy)
-        want = list(reference_enumerate_gems(order))
-        classes, leaves = census_leaves(order)
-        assert [(g.inv, ceiling) for g, ceiling in leaves] == want_leaves
-        assert [CensusEntry(code, order) for code in classes] == want
+    def test_leaves_and_classes_match_former_generator(self, census_leaves, order):
+        # the in-place search hands the kernel the former search's leaves in
+        # the same order, less some that the kernel beats, and yields the
+        # former entries in the same order
+        entries, leaves = census_leaves(order)
+        want, want_leaves = census_leaves(order, reference=True)
+        kept = iter([(g.inv, ceiling) for g, ceiling in leaves] + [None])
+        leaf = next(kept)
+        for g, ceiling in want_leaves:
+            if (g.inv, ceiling) == leaf:
+                leaf = next(kept)
+            else:
+                assert beats_entries(g, ceiling), ceiling
+        assert leaf is None
+        assert entries == want
 
     @pytest.mark.parametrize("order, expected", [(8, 2), (10, 3)])
     def test_classes_without_double_edge_match_brute_force(
@@ -167,8 +176,8 @@ class TestEnumerate:
                         g = ColoredGraph.from_blocks((b1, b2, b3))
                         if is_connected(g):
                             seen.add(canonical_code(g))
-        classes, _ = census_leaves(order)
-        assert seen == {c for c in classes if c.startswith("B")}
+        entries, _ = census_leaves(order)
+        assert seen == {e.canonical for e in entries if e.canonical.startswith("B")}
         assert len(seen) == expected
 
 
