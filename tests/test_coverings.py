@@ -105,6 +105,23 @@ class TestDerivedGraph:
             assert total == base
             assert verify_covering(cm) == 1
 
+    @pytest.mark.parametrize("code", BASE_CODES + (TABLE1_CODES["14^2_1"], TABLE1_CODES["14^4_6"]))
+    def test_labeling(self, code):
+        # (v, i) -> (inv[c][v], i + volt[v][c]) entry by entry; the sign of
+        # the shift matters here, though every invariant ignores it
+        rng = random.Random(53)
+        base = parse_code(code)
+        for n in (*range(1, 9), 40):
+            va = random_voltage(rng, base, n)
+            total, cm = derived_graph(va)
+            for c in range(4):
+                for v in range(base.order):
+                    w, s = base.inv[c][v], va.volt[v][c]
+                    for i in range(n):
+                        assert total.inv[c][v * n + i] == w * n + (i + s) % n
+            assert cm.f == tuple(x // n for x in range(total.order))
+            assert total._deck == n
+
     def test_zero_voltages_give_disjoint_copies(self):
         base = parse_code(BASE_CODES[0])
         volt = [[0] * 4 for _ in range(base.order)]
