@@ -22,15 +22,8 @@ Trusted leaf: the leaf's maps are involutions by construction, so a snapshot
 of them is wrapped without the constructor's re-validation; a test checks
 each leaf against the validated build.
 
-Rejection: a leaf's ceiling starts with 1 or 2.  When it starts with 1, or
-the leaf has a double edge, ``beats_entries`` tries only the starts on a
-double edge: every other start gives a list starting with 2, which cannot
-sort below a ceiling starting with 1 nor below the list a double edge gives,
-so the verdict is the one every start would give.  Otherwise every list
-starts with 2, and when the ceiling starts ``[2, 1]``, or the leaf has a
-bicolored 4-cycle, only the starts on a 4-cycle of the first two permuted
-colors are tried: every other start gives a list starting ``2, k`` with
-k >= 3.  The generator itself is unchanged by this rule.
+Rejection: ``beats_entries`` skips the starts that cannot win, by the
+filters stated in ``graphs._least_traversal``.
 
 Prefix rule: at the start of rows 2 to p-2, a node whose code starts
 ``[1, k]`` with k > 2 is cut when some start on a double edge, under a color

@@ -113,26 +113,24 @@ class CoveringMap:
 def derived_graph(va: VoltageAssignment) -> tuple[ColoredGraph, CoveringMap]:
     """The voltage construction: n copies of each vertex, shifted gluings.
 
-    Vertex ``(v, i)`` is stored at index ``v*n + i``.  The projection onto
-    the first coordinate is always a covering map of degree n.
+    Vertex ``(v, i)`` is stored at index ``v*n + i``.  The color-c edge at
+    base vertex v, to w with voltage s, carries the fiber over v onto the
+    fiber over w turned by s: ``(v, i) -> (w, i + s)``, so each fiber's map
+    entries are ``w*n + s, ..., w*n + n - 1, w*n, ..., w*n + s - 1``.  The
+    deck map ``(v, i) -> (v, i + 1)`` is an automorphism, and the graph
+    carries n as the canonical kernel's hint.  The projection onto the
+    first coordinate is always a covering map of degree n.
     """
     base, n = va.base, va.n
-    big = base.order * n
     maps = []
-    for c in COLORS:
-        m = [0] * big
-        for v in range(base.order):
-            w = base.inv[c][v]
-            shift = va.volt[v][c]
-            vn = v * n
-            wn = w * n
-            for i in range(n):
-                m[vn + i] = wn + (i + shift) % n
-        maps.append(m)
-    total = ColoredGraph._trusted(tuple(map(tuple, maps)))
-    total._deck = n  # (v, i) -> (v, i + 1) is an automorphism: a kernel hint
-    f = tuple(x // n for x in range(big))
-    return total, CoveringMap(total, base, f)
+    for inv_c, volt_c in zip(base.inv, zip(*va.volt)):
+        m = []
+        for w, s in zip(inv_c, volt_c):
+            m += range(w * n + s, w * n + n)
+            m += range(w * n, w * n + s)
+        maps.append(tuple(m))
+    total = ColoredGraph._trusted(tuple(maps), deck=n)
+    return total, CoveringMap(total, base, [x // n for x in range(total.order)])
 
 
 def verify_covering(cm: CoveringMap) -> int:
@@ -207,20 +205,7 @@ def find_admissible_cyclic_coverings(
     with ``g_k > 1``, enumerated in lexicographic order of the ``t_k``.
     Those whose values generate Z_n, so that the derived graph is
     connected, are kept, wrapped without re-validation (the tables are
-    built reduced and antisymmetric).
-
-    A table's row at a vertex holds the voltages of that vertex's darts,
-    so it is the sum mod n of the rows of a *head*, a combination of the
-    leading generators, and a *tail*, a combination of the rest; the cut
-    falls where the head's combinations first number at least the square
-    root of all of them.  Each head and tail is turned into rows once, and
-    each (vertex, head row) keeps its sums with that vertex's distinct tail
-    rows, so a table is one lookup per vertex.  The tails are found while
-    the first head runs and are cached for the others, so a call with a
-    small limit solves little.  The returned tables share one tuple per
-    distinct row: the 31,744 tables of degree 8 over
-    ``DABCFEFEDABCBCFEDA`` hold 960 distinct rows and take about 0.2 KB
-    each (1.1 KB with a tuple per row).  Returns at most ``limit`` of them
+    built reduced and antisymmetric).  Returns at most ``limit`` of them
     (all when ``limit`` is None); with a positive limit, an empty list
     means no admissible connected covering of this degree exists.
     """
@@ -243,7 +228,20 @@ def _solutions(base: ColoredGraph, n: int, limit: Optional[int]) -> Iterator[Vol
 
 
 def _voltage_tables(base: ColoredGraph, n: int) -> Iterator[VoltageAssignment]:
-    """The solver's tables in order, for arguments already checked."""
+    """The solver's tables in order, for arguments already checked.
+
+    A table's row at a vertex holds the voltages of that vertex's darts,
+    so it is the sum mod n of the rows of a *head*, a combination of the
+    leading generators, and a *tail*, a combination of the rest; the cut
+    falls where the head's combinations first number at least the square
+    root of all of them.  Each head and tail is turned into rows once, and
+    each (vertex, head row) keeps its sums with that vertex's distinct tail
+    rows, so a table is one lookup per vertex.  The tails are found while
+    the first head runs and are cached for the others, so a call with a
+    small limit solves little.  The tables share one tuple per distinct
+    row: the 31,744 tables of degree 8 over ``DABCFEFEDABCBCFEDA`` hold 960
+    distinct rows and take about 0.2 KB each (1.1 KB with a tuple per row).
+    """
     rows, free = cycle_relation_rows(base)
     factors, rank, V = snf_with_column_transform(rows)
     counts = [gcd(d, n) for d in factors + (0,) * (len(free) - rank)]

@@ -58,21 +58,23 @@ class ColoredGraph:
         self._deck = 1
 
     @classmethod
-    def _trusted(cls, inv: tuple[tuple[int, ...], ...]) -> "ColoredGraph":
+    def _trusted(cls, inv: tuple[tuple[int, ...], ...], deck: int = 1) -> "ColoredGraph":
         """Wrap four involutions, a tuple of tuples, without checking them:
         for :func:`parse_code`, :meth:`from_blocks`, the census leaves,
         :func:`derived_graph`, :func:`relabeled` and :func:`recolored`, which
         build ``inv`` from checked input and prove it in a test against
         ``ColoredGraph(inv)``.
 
-        The result carries no deck hint (``_deck`` is 1), so the canonical
-        kernel tries every start; only :func:`derived_graph` sets the hint,
-        to its degree n, after wrapping.  Equality and hashing ignore it."""
+        ``deck`` is the canonical kernel's hint d: turning each block of d
+        consecutive vertices by one, ``(v, i) -> (v, i + 1 mod d)``, is an
+        automorphism, so the kernel tries only the starts at multiples of d.
+        Only :func:`derived_graph` passes one, its degree n; with the default
+        1 every start is tried.  Equality and hashing ignore it."""
         g = object.__new__(cls)
         g.order = len(inv[0])
         g.inv = inv
         g._record = None
-        g._deck = 1
+        g._deck = deck
         return g
 
     @classmethod
@@ -597,14 +599,8 @@ def canonical_code(g: ColoredGraph) -> str:
     Minimizes over the breadth-first relabelings from every start vertex
     combined with all 24 color permutations.  Two connected bipartite
     graphs are color-isomorphic exactly when their canonical codes agree.
-    The kernel skips only starts that cannot give a smaller list: on a
-    derived graph, all but fiber 0 (the deck map is an automorphism, so
-    the other fibers repeat its lists); when the graph has a double edge,
-    every start whose first two permuted colors do not double its edge
-    (those lists begin with 2, the minimum with 1); and otherwise, when it
-    has a bicolored 4-cycle, every start whose first two permuted colors
-    close none through it (those lists begin ``2, k`` with k >= 3, the
-    minimum with ``2, 1``).
+    The kernel skips only starts that cannot give a smaller list, by the
+    filters stated in :func:`_least_traversal`.
     """
     rec = _structure(g, cycles=False)
     if not rec.connected:

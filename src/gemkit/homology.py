@@ -39,7 +39,8 @@ class HomologyGroup:
     torsion: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        if index(self.rank) < 0:
+        object.__setattr__(self, "rank", index(self.rank))
+        if self.rank < 0:
             raise ValueError("rank must be non-negative")
         object.__setattr__(self, "torsion", tuple(index(d) for d in self.torsion))
         if any(d < 2 for d in self.torsion):
@@ -163,15 +164,8 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], in
     """Invariant factors and rank of an integer matrix.
 
     The factors are positive, each divides the next, and their product for a
-    nonsingular square matrix equals the absolute determinant.  With the rows
-    checked, the sparse phase pivots on entries that divide their row and
-    their column, from short rows in their sparsest column for low Markowitz
-    fill.  One loop of rounds takes the rows shortest first, each on an entry
-    of absolute value 1, else on its least entry, while a round finds a
-    pivot.  Row operations clear the pivot's column and its absolute value
-    is a diagonal entry, as the rest of its row is a multiple of it.  The
-    dense phase takes any rows left, and a gcd/lcm pass restores the chain
-    where the sorted non-unit factors break it.
+    nonsingular square matrix equals the absolute determinant.  The rows
+    are checked, then eliminated as the module docstring describes.
     """
     if any(len(r) != len(mat[0]) for r in mat):
         raise ValueError("matrix rows have unequal lengths")

@@ -7,6 +7,7 @@ isomorphism bucketing).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 from math import gcd
 from typing import Iterator, Optional, Sequence
@@ -17,11 +18,16 @@ from gemkit import (
     TABLE1,
     ColoredGraph,
     bicolored_cycles,
+    boundary_profile,
     canonical_code,
+    derived_graph,
+    find_admissible_cyclic_coverings,
+    first_homology,
     is_connected,
+    parse_code,
     verify_covering,
 )
-from gemkit.census import CensusEntry
+from gemkit.census import CensusEntry, enumerate_gems
 from gemkit.errors import (
     BadLengthError,
     InvalidLabelingError,
@@ -503,6 +509,59 @@ def reference_coverings(base, n, limit=None):
         if limit is not None and len(out) >= limit:
             break
     return out
+
+
+def cover_signature(g, degrees=(2, 3)):
+    """For each degree n, the sorted ``(rank, torsion)`` of the first
+    homology of every connected admissible Z_n cover of ``g``.  The solver
+    lists each surjection from the fundamental group onto Z_n once, so this
+    is an invariant of the manifold, not only of the graph."""
+    return tuple(
+        sorted(
+            (h.rank, h.torsion)
+            for h in (
+                first_homology(derived_graph(va)[0])
+                for va in find_admissible_cyclic_coverings(g, n, None)
+            )
+        )
+        for n in degrees
+    )
+
+
+def manifold_key(g):
+    """The first homology and boundary profile of the graph's manifold."""
+    return first_homology(g), boundary_profile(g)
+
+
+@cache
+def table1_signatures():
+    """Each ``TABLE1`` row's name, :func:`manifold_key` and
+    :func:`cover_signature`."""
+    rows = []
+    for row in TABLE1:
+        g = parse_code(row.code)
+        rows.append((row.name, manifold_key(g), cover_signature(g)))
+    return tuple(rows)
+
+
+def table1_census_clashes(order):
+    """The census classes of one order that share some ``TABLE1`` row's
+    :func:`manifold_key`, and the ``(class code, row name)`` pairs among
+    them that share the row's :func:`cover_signature` too.  With the census
+    complete, an empty list for every order below 14 shows that no smaller
+    graph represents any row's manifold."""
+    rows = table1_signatures()
+    keys = {key for _, key, _ in rows}
+    colliding, same = 0, []
+    for entry in enumerate_gems(order):
+        g = parse_code(entry.canonical)
+        key = manifold_key(g)
+        if key not in keys:
+            continue
+        colliding += 1
+        signature = cover_signature(g)
+        same += [(entry.canonical, name) for name, k, s in rows if (k, s) == (key, signature)]
+    return colliding, same
 
 
 # The former emit_code, kept as an oracle: it states the label rules one by

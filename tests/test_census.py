@@ -3,7 +3,7 @@
 import io
 import json
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -34,6 +34,8 @@ from helpers import (
     census_start_count,
     naive_census,
     reference_enumerate_gems,
+    table1_census_clashes,
+    table1_signatures,
 )
 
 
@@ -319,3 +321,19 @@ class TestVerifyTable1:
         report = verify_table1([TABLE1[0], TABLE1[0]._replace(name="copy")])
         assert not report.distinct_canonical
         assert not report.ok
+
+
+class TestTable1CoverSignature:
+    """The homology of the Z_2 and Z_3 covers separates the rows' manifolds
+    where H1 and the boundary profile do not (the CI workflow runs the
+    census part at order 12)."""
+
+    def test_rows_sharing_invariants_are_separated(self):
+        rows = table1_signatures()
+        pairs = [(a, b) for a, b in combinations(rows, 2) if a[1] == b[1]]
+        assert len(pairs) == 156
+        assert [(a[0], b[0]) for a, b in pairs if a[2] == b[2]] == []
+
+    def test_no_smaller_class_matches_a_row(self):
+        clashes = [table1_census_clashes(order) for order in range(2, 11, 2)]
+        assert clashes == [(0, []), (0, []), (1, []), (11, []), (174, [])]

@@ -1,7 +1,9 @@
 """Exact Smith normal form against independent fraction/minor oracles."""
 
+import json
 import random
 
+import numpy
 import pytest
 
 from gemkit import HomologyGroup, smith_normal_form
@@ -46,6 +48,13 @@ class TestHomologyGroup:
             HomologyGroup(1.5)
         with pytest.raises(TypeError):
             HomologyGroup(0, (2.9,))
+
+    def test_rank_stored_as_int(self):
+        # a bool or numpy rank kept as given would leak into JSON output
+        assert type(HomologyGroup(True).rank) is int
+        group = HomologyGroup(numpy.int64(2), (numpy.int64(3),))
+        assert type(group.rank) is int and group == HomologyGroup(2, (3,))
+        assert json.dumps([group.rank, group.torsion]) == "[2, [3]]"
 
     def test_equality(self):
         assert HomologyGroup(2, (2,)) == HomologyGroup(2, [2])
