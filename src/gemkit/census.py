@@ -28,7 +28,7 @@ filters stated in ``graphs._least_traversal``.
 Prefix rule: at the start of rows 2 to p-2, a node whose code starts
 ``[1, k]`` with k > 2 is cut when some start on a double edge, under a color
 permutation that puts the edge's two colors first, reads entry 1 below k
-from filled slots alone (``_second_entry``).  Every completion then has a
+from filled slots alone (``_prefix_beaten``).  Every completion then has a
 traversal list starting ``[1, j]`` with j < k, so every leaf below would
 fail ``beats_entries``: the entries and their order stay the same.  The last
 row is left out, as its nodes are about as many as its leaves.  Leaves fall
@@ -39,16 +39,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from itertools import permutations
 from typing import IO, Iterable, Iterator, Optional
 
 from gemkit.data import CENSUS_FORMAT, TABLE1, Table1Row
 from gemkit.errors import CapExceededError, GemError
 from gemkit.graphs import (
     COLOR_PAIRS,
-    COLORS,
     ColoredGraph,
-    _second_entry,
     beats_entries,
     canonical_code,
     is_connected,
@@ -60,12 +57,6 @@ from gemkit.topology import boundary_profile, first_homology, invariant_report
 
 #: Largest order the exhaustive search is allowed to attempt.
 ENUMERATION_CAP = 12
-
-# each color pair with the four color permutations that put it first
-_PAIR_FIRST = tuple(
-    (a, b, [sigma for sigma in permutations(COLORS) if {a, b} == {*sigma[:2]}])
-    for a, b in COLOR_PAIRS
-)
 
 
 @dataclass(frozen=True)
@@ -99,15 +90,8 @@ def enumerate_gems(order: int) -> Iterator[CensusEntry]:
         if c == 0 and i and maxseen < i + 1:
             return  # pair i+1 was never discovered: the graph is disconnected
         if c == 0 and 1 < i < p - 1 and maps[1][0] == p and maps[1][1] > p + 1:
-            # prefix rule; None (an open slot) reads as k, and a negative
-            # vertex has no partner but its color-0 one before its row
-            k = maps[1][1] - p + 1
-            for s in (*range(i), *range(p, order)):
-                for a, b, sigmas in _PAIR_FIRST:
-                    if maps[a][s] == maps[b][s] >= 0 and any(
-                        (_second_entry(maps, sigma, s) or k) < k for sigma in sigmas
-                    ):
-                        return
+            if _prefix_beaten(maps, maps[1][1] - p + 1):
+                return
         top = maxseen + 1 if maxseen < p else p
         m = maps[c + 1]
         # once the code starts with 2, a partner that i already meets would
@@ -121,6 +105,42 @@ def enumerate_gems(order: int) -> Iterator[CensusEntry]:
             m[i] = m[w] = -1
 
     return extend(0, 1)
+
+
+def _prefix_beaten(maps: list[list[int]], k: int) -> bool:
+    """Whether some start on a double edge reads entry 1 below ``k`` from
+    the filled slots of the search's maps (the prefix rule; an open slot
+    holds -1).
+
+    A start ``s`` that colors a and b join to one vertex is read under the
+    four color permutations that put a and b first.  Proof that every
+    completion of the maps gives the entry 1 read here: the traversal labels
+    +1 the sigma0 partner of ``s``, which is its sigma1 partner, then its
+    sigma2 and sigma3 partners in turn when new, so the two orders of the
+    other two colors fix +2 and +3.  It labels -2 the sigma0 partner of +2,
+    and entry 1 is the label of the sigma1 partner of -2, or the next label
+    when that partner is new, so the two orders of a and b fix -2 and its
+    partner.  These five slots are all a permutation reads, and a start with
+    an open slot of its own is passed over.
+    """
+    for column in zip(*maps):
+        if -1 in column or len({*column}) == 4:
+            continue  # an open slot, or no two colors join s to one vertex
+        # COLOR_PAIRS reversed lists each pair's complement
+        for (a, b), (c, d) in zip(COLOR_PAIRS, COLOR_PAIRS[::-1]):
+            one, y, z = column[a], column[c], column[d]
+            if one != column[b]:
+                continue
+            for two, three in ((y, z), (z, y)):
+                if two == one:
+                    continue  # the other order labels the same +2
+                labels = (one, two) if three in (one, two) else (one, two, three)
+                for e, f in ((a, b), (b, a)):
+                    u = maps[e][two]
+                    x = maps[f][u] if u >= 0 else -1
+                    if x >= 0 and (*labels, x).index(x) + 1 < k:
+                        return True
+    return False
 
 
 def classify(entry: CensusEntry) -> CensusEntry:

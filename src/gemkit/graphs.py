@@ -551,35 +551,6 @@ def _least_traversal(g: ColoredGraph, ceiling: list[int], first: bool):
     return best
 
 
-def _second_entry(
-    inv: Sequence[Sequence[int]], sigma: Sequence[int], s: int
-) -> Optional[int]:
-    """Entry 1 of the traversal from ``s`` under ``sigma`` (colors sigma0
-    and sigma1 must join ``s`` to one vertex), read from maps where -1 marks
-    an open slot; None when it would read an open slot.
-
-    Proof that every completion of the maps gives this entry 1: the
-    traversal labels +1 the sigma0 partner of ``s``, which is its sigma1
-    partner, then its sigma2 and sigma3 partners in turn when new.  It
-    labels -2 the sigma0 partner of +2, and entry 1 is the label of the
-    sigma1 partner of -2, or the next label when that partner is new.
-    These five slots are all it reads.
-    """
-    m0, m1, m2, m3 = map(inv.__getitem__, sigma)
-    seen = [m1[s]]
-    for w in (m2[s], m3[s]):
-        if w < 0:
-            return None
-        if w not in seen:
-            seen.append(w)
-    # s meets one vertex by all four colors: there is no second vertex
-    u = m0[seen[1]] if len(seen) > 1 else -1
-    x = m1[u] if u >= 0 else -1
-    if x < 0:
-        return None
-    return seen.index(x) + 1 if x in seen else len(seen) + 1
-
-
 def canonical_entries(g: ColoredGraph) -> list[int]:
     """The minimal traversal entry list; see :func:`canonical_code`."""
     # every entry is at most p < order, so any traversal beats this ceiling

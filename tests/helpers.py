@@ -14,6 +14,7 @@ from typing import Iterator, Optional, Sequence
 
 from gemkit import (
     COLOR_PAIRS,
+    COLORS,
     COVERING_BASE_CODES,
     TABLE1,
     ColoredGraph,
@@ -24,7 +25,9 @@ from gemkit import (
     find_admissible_cyclic_coverings,
     first_homology,
     is_connected,
+    link_surface,
     parse_code,
+    residues,
     verify_covering,
 )
 from gemkit.census import CensusEntry, enumerate_gems
@@ -513,19 +516,54 @@ def reference_coverings(base, n, limit=None):
 
 def cover_signature(g, degrees=(2, 3)):
     """For each degree n, the sorted ``(rank, torsion)`` of the first
-    homology of every connected admissible Z_n cover of ``g``.  The solver
-    lists each surjection from the fundamental group onto Z_n once, so this
-    is an invariant of the manifold, not only of the graph."""
+    homology of the connected admissible Z_n covers of ``g``, one per pair
+    of surjections ±φ from the fundamental group onto Z_n.  The solver lists
+    each surjection once, so this is an invariant of the manifold, not only
+    of the graph.  The covers of φ and -φ are the same (the fibers swap
+    i and -i), so only the table whose first nonzero voltage on the free
+    darts is at most n/2 is kept: at n = 2, where φ = -φ, that is every
+    table, and at odd n exactly one of each pair."""
+    _, free = cycle_relation_rows(g)
     return tuple(
         sorted(
             (h.rank, h.torsion)
             for h in (
                 first_homology(derived_graph(va)[0])
                 for va in find_admissible_cyclic_coverings(g, n, None)
+                if 2 * next(filter(None, (va.volt[t][c] for t, c in free))) <= n
             )
         )
         for n in degrees
     )
+
+
+def insert_dipole(g, c, cut):
+    """``g`` with a 1-dipole of color ``c`` inserted, or None when the new
+    pair is no proper dipole with a sphere side.
+
+    The new vertices x and y (numbered ``g.order`` and ``g.order + 1``) are
+    joined by color ``c``.  For each other color d, the color-d edge at
+    vertex ``cut[d]`` is cut, and x is joined to its side-1 end and y to
+    its side-0 end, so the graph stays bipartite and connected.  The pair
+    is kept when x and y lie in different residues missing ``c`` and one of
+    them is a sphere: then cancelling the dipole, which gives back ``g``,
+    keeps the manifold (Ferri and Gagliardi, "Crystallisation moves",
+    Pacific J. Math. 100 (1982)).
+    """
+    side = bipartition(g)
+    x, y = g.order, g.order + 1
+    maps = [list(m) + [-1, -1] for m in g.inv]
+    maps[c][x], maps[c][y] = y, x
+    for d, v in cut.items():
+        w = g.inv[d][v]
+        neg, pos = (v, w) if side[v] == 0 else (w, v)
+        maps[d][x], maps[d][pos] = pos, x
+        maps[d][y], maps[d][neg] = neg, y
+    h = ColoredGraph(maps)
+    rx, ry = (next(r for r in residues(h, c) if v in r.vertices) for v in (x, y))
+    if rx == ry or not (link_surface(rx).is_sphere or link_surface(ry).is_sphere):
+        return None
+    return h
 
 
 def manifold_key(g):

@@ -26,9 +26,9 @@ from gemkit import (
     recolored,
     relabeled,
 )
+from gemkit.census import _prefix_beaten
 from gemkit.graphs import (
     _least_traversal,
-    _second_entry,
     beats_entries,
     canonical_entries,
 )
@@ -435,19 +435,26 @@ def doubled_starts(maps):
     ]
 
 
-def test_second_entry_matches_full_traversal():
+def beaten_below(g, starts, k):
+    """Whether one of ``starts`` gives a full traversal of ``g`` whose entry
+    1 is below ``k``."""
+    return any(full_traversal(g, sigma, s)[1] < k for sigma, s in starts)
+
+
+def test_prefix_reader_matches_full_traversal():
     rng = random.Random(101)
-    checked = 0
-    for p in range(1, 9):
-        graphs = [random_connected_bipartite(rng, p) for _ in range(6)]
-        graphs += [planted_double_edge(rng, p) for _ in range(6)]
+    outcomes = {True: 0, False: 0}
+    for p in range(2, 9):
+        graphs = [random_connected_bipartite(rng, p) for _ in range(50)]
+        graphs += [planted_double_edge(rng, p) for _ in range(50)]
         for g in graphs:
-            for sigma, s in doubled_starts(g.inv):
-                # with one vertex pair the list has no block-1 entry 1
-                want = full_traversal(g, sigma, s)[1] if p > 1 else None
-                assert _second_entry(g.inv, sigma, s) == want, (g.inv, sigma, s)
-                checked += 1
-    assert checked > 4000
+            starts = doubled_starts(g.inv)
+            for k in range(3, p + 2):
+                got = _prefix_beaten(g.inv, k)
+                assert got == beaten_below(g, starts, k), (g.inv, k)
+                # every False here has a doubled start that reads entry 1 >= k
+                outcomes[got] += bool(starts)
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def opened(rng, g, share):
@@ -476,22 +483,50 @@ def completed(rng, maps, p):
     return ColoredGraph(out)
 
 
-def test_second_entry_is_fixed_by_the_filled_slots():
+def filled_entry_one(maps, sigma, s):
+    """Entry 1 of the traversal from ``s`` under ``sigma``, built step by
+    step as :func:`full_traversal` builds it; None once a step reads an open
+    slot (-1)."""
+    inv = [maps[c] for c in sigma]
+    pos_label = {inv[0][s]: 1}
+    neg_vertex = [s]
+    for row, c in ((0, 1), (0, 2), (0, 3), (1, 1)):
+        if row == len(neg_vertex):
+            return None  # s meets one vertex by all four colors
+        u = neg_vertex[row]
+        w = inv[c][u] if u >= 0 else -1
+        if w < 0:
+            return None
+        if w not in pos_label:
+            pos_label[w] = len(pos_label) + 1
+            neg_vertex.append(inv[0][w])
+    return pos_label[w]
+
+
+def test_prefix_reader_on_partial_maps():
     rng = random.Random(103)
-    read = unread = compared = 0
+    outcomes = {True: 0, False: 0}
+    compared = 0
     for p in range(2, 9):
-        for _ in range(12):
+        for _ in range(30):
             g = planted_double_edge(rng, p)
             maps = opened(rng, g, rng.choice((0.2, 0.4, 0.6)))
             completions = [completed(rng, maps, p) for _ in range(6)]
             completions = [h for h in completions if is_connected(h)]
-            for sigma, s in doubled_starts(maps):
-                got = _second_entry(maps, sigma, s)
-                if got is None:
-                    unread += 1
-                    continue
-                read += 1
-                for h in completions:
-                    assert full_traversal(h, sigma, s)[1] == got, (maps, sigma, s)
-                    compared += 1
-    assert read > 400 and unread > 800 and compared > 2500
+            starts = doubled_starts(maps)
+            read = [filled_entry_one(maps, sigma, s) for sigma, s in starts]
+            # the filled slots fix every entry the oracle reads
+            for (sigma, s), e in zip(starts, read):
+                if e is not None:
+                    for h in completions:
+                        assert full_traversal(h, sigma, s)[1] == e, (maps, sigma, s)
+            for k in range(3, p + 2):
+                got = _prefix_beaten(maps, k)
+                assert got == any(e is not None and e < k for e in read), (maps, k)
+                outcomes[got] += 1
+                # a cut must hold on every completion
+                if got:
+                    for h in completions:
+                        assert beaten_below(h, starts, k), (maps, k)
+                        compared += 1
+    assert min(outcomes.values()) > 300 and compared > 1500, (outcomes, compared)

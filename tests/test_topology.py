@@ -40,6 +40,8 @@ from helpers import (
     SIX_REGULAR_INVS,
     TABLE_CODES,
     component_count,
+    cover_signature,
+    insert_dipole,
     random_bipartite_graph,
     random_colored_graph,
     random_ffi_involution,
@@ -385,6 +387,39 @@ class TestFirstHomology:
     def test_requires_connected(self):
         with pytest.raises(NotConnectedError):
             first_homology(parse_code("ABABAB"))
+
+
+def kept_dipole(rng, g):
+    """``g`` with one random 1-dipole inserted that keeps its manifold."""
+    for _ in range(1000):
+        c = rng.randrange(4)
+        h = insert_dipole(g, c, {d: rng.randrange(g.order) for d in COLORS if d != c})
+        if h is not None:
+            return h
+    raise AssertionError("no kept dipole in 1000 trials")
+
+
+def manifold_invariants(g):
+    return first_homology(g), boundary_profile(g), is_closed(g), cover_signature(g, (2,))
+
+
+class TestDipoleMoves:
+    """Inserting a 1-dipole changes the graph but not the manifold, so every
+    manifold invariant must stay the same."""
+
+    def test_insertions_keep_the_invariants(self):
+        from gemkit import enumerate_gems
+
+        rng = random.Random(211)
+        codes = TABLE_CODES + tuple(e.canonical for e in enumerate_gems(8))
+        for code in codes:
+            g = parse_code(code)
+            want = manifold_invariants(g)
+            once = kept_dipole(rng, g)
+            twice = kept_dipole(rng, once)
+            for h in (once, twice):
+                assert is_connected(h) and is_bipartite(h), code
+                assert manifold_invariants(h) == want, code
 
 
 class TestEulerCharacteristic:
