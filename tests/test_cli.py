@@ -13,6 +13,7 @@ from gemkit.cli import main, read_records
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 CODES_FILE = os.path.join(DATA_DIR, "table1_codes.tsv")
 GOLDEN_INVARIANTS = os.path.join(DATA_DIR, "table1_invariants.jsonl")
+GOLDEN_CANON = os.path.join(DATA_DIR, "table1_canon.tsv")
 #: Lets a child interpreter import gemkit from this checkout.
 SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=os.path.join(DATA_DIR, "..", "..", "src"))
 
@@ -154,6 +155,17 @@ class TestInvariants:
         assert rc == 0 and err == ""
         with open(GOLDEN_INVARIANTS, "r", encoding="utf-8") as fh:
             assert out == fh.read()
+
+    def test_golden_canon_byte_exact(self, capsys):
+        # no row code is canonical; 23 rows have a double edge, 11 only a
+        # bicolored 4-cycle
+        rc, out, err = run(capsys, ["canon", CODES_FILE])
+        assert rc == 0 and err == ""
+        with open(GOLDEN_CANON, "r", encoding="utf-8") as fh:
+            assert out == fh.read()
+        canon = [line.split("\t")[1] for line in out.splitlines()]
+        assert not {row.code for row in TABLE1} & set(canon)
+        assert sorted(code[:2] for code in canon) == ["AC"] * 12 + ["AD"] * 11 + ["BA"] * 11
 
     def test_json_fields(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("AAA\n"))
