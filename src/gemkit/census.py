@@ -23,7 +23,8 @@ of them is wrapped without the constructor's re-validation; a test checks
 each leaf against the validated build.
 
 Rejection: ``beats_entries`` skips the starts that cannot win, by the
-filters stated in ``graphs._least_traversal``.
+filters stated in ``graphs._least_traversal``.  A leaf's ceiling is its own
+code, which alone chooses them, so the leaf pays for no scan.
 
 Prefix rule: at the start of rows 2 to p-2, a node whose code starts
 ``[1, k]`` with k > 2 is cut when some start on a double edge, under a color

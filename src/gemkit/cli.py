@@ -118,7 +118,7 @@ def _cmd_cover(args) -> int:
     # solve for the first table before any output, so a solver error comes
     # first; the rest are solved one at a time as they are written
     first = list(islice(solutions, 1))
-    free = _structure(base, cycles=False).free
+    free = _structure(base).free
     # one JSON object, written record by record as each is computed
     out = sys.stdout
     out.write('{"base_code":%s,"n":%d,"solutions":[' % (_json_line(args.code), args.degree))

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import permutations
-from operator import eq, index
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 from gemkit.errors import (
@@ -277,16 +277,15 @@ def _cycles(first: Sequence[int], second: Sequence[int]) -> list[tuple[int, ...]
 _Structure = namedtuple("_Structure", "connected side free cycles")
 
 
-def _structure(g: ColoredGraph, cycles: bool = True) -> _Structure:
-    """The graph's structure record, computed on first use and kept on it.
+def _structure(g: ColoredGraph) -> _Structure:
+    """The graph's structure record, computed whole on first use and kept on it.
 
     It holds the connected flag, the side tuple (``None`` unless bipartite),
     the edges off the breadth-first spanning tree of vertex 0's component
     and, per pair of ``COLOR_PAIRS``, the cycles of :func:`_cycles`.  Each
     free edge is a dart ``(tail, color)`` with head ``inv[color][tail]``,
     listed by color, then lower endpoint; the tail is the side-0 endpoint
-    when the graph is bipartite and the lower endpoint otherwise.  With
-    ``cycles`` false a new record gets the sweep only and no walk.
+    when the graph is bipartite and the lower endpoint otherwise.
     """
     rec = g._record
     if rec is None:
@@ -300,10 +299,8 @@ def _structure(g: ColoredGraph, cycles: bool = True) -> _Structure:
             for u, w in enumerate(m)
             if u < w and (comp[u] or c not in (via[u], via[w]))
         )
-        rec = g._record = _Structure(len(bipartite) == 1, side, free, None)
-    if cycles and rec.cycles is None:
         walks = tuple(tuple(_cycles(g.inv[a], g.inv[b])) for a, b in COLOR_PAIRS)
-        rec = g._record = rec._replace(cycles=walks)
+        rec = g._record = _Structure(len(bipartite) == 1, side, free, walks)
     return rec
 
 
@@ -313,7 +310,7 @@ def bipartition(g: ColoredGraph) -> Optional[tuple[int, ...]]:
     Returns the per-vertex side array (the first vertex reached in every
     component sits on side 0), or ``None`` when some cycle is odd.
     """
-    return _structure(g, cycles=False).side
+    return _structure(g).side
 
 
 def is_bipartite(g: ColoredGraph) -> bool:
@@ -323,7 +320,7 @@ def is_bipartite(g: ColoredGraph) -> bool:
 
 def is_connected(g: ColoredGraph) -> bool:
     """True when every vertex is reachable from vertex 0."""
-    return _structure(g, cycles=False).connected
+    return _structure(g).connected
 
 
 def bicolored_cycles(g: ColoredGraph, colors: Iterable[int]) -> list[BicoloredCycle]:
@@ -483,78 +480,77 @@ def _least_traversal(g: ColoredGraph, ceiling: list[int], first: bool):
     once that prefix passes the ceiling; if it ends below, it becomes the
     ceiling (with ``first`` it is returned at once, unfinished).
 
-    Starts that cannot win are skipped: off fiber 0 of a derived graph (the
-    deck map is an automorphism), and, when a winner's entry 0 must be 1 (a
-    double edge exists or the ceiling starts with 1), those where colors
-    sigma0 and sigma1 do not join the start to one vertex.  Without a double
-    edge every entry 0 is 2, and entry 1 is 1 exactly when the start lies on
-    a sigma0 sigma1 4-cycle (else it is at least 3); so when a winner's
-    entry 1 must be 1 (a bicolored 4-cycle exists or the ceiling starts
-    ``[2, 1]``), only those starts are tried.
+    Starts that cannot win are skipped, by the ceiling and the deck hint
+    alone: off fiber 0 of a derived graph (the deck map is an automorphism);
+    below a ceiling that starts with 1, a list must start with 1, so only
+    the starts that colors sigma0 and sigma1 join to one vertex are tried;
+    below ``[2, 1, ...]`` a list starts with 1 or with ``[2, 1]``, so its
+    start lies on a sigma0 sigma1 double edge or 4-cycle; the 4-cycle test
+    passes both, and only those starts are tried.
     """
     p = g.order // 2
     best = None
     starts = range(0, 2 * p, g._deck)
     inv = g.inv
-    double = ceiling[0] == 1 or any(any(map(eq, inv[a], inv[b])) for a, b in COLOR_PAIRS)
-    # ab = inv[a] after inv[b] has a 4-cycle exactly when ab twice fixes a vertex
-    four = not double and (
-        ceiling[:2] == [2, 1]
-        or any(
-            any(map(eq, map(ab.__getitem__, ab), range(2 * p)))
-            for ab in (tuple(map(inv[a].__getitem__, inv[b])) for a, b in COLOR_PAIRS)
-        )
-    )
-    for sigma in permutations(COLORS):
-        inv0, inv1, inv2, inv3 = (inv[c] for c in sigma)
-        rest = ((p, inv2), (2 * p, inv3))
+    double = ceiling[0] == 1
+    four = ceiling[:2] == [2, 1]
+    # the filters read sigma0 and sigma1 only: one start list serves both
+    # orders of the other two colors
+    for a, b in permutations(COLORS, 2):
+        inv0, inv1 = inv[a], inv[b]
         if double:
             tried = [s for s in starts if inv0[s] == inv1[s]]
         elif four:
             tried = [s for s in starts if inv1[inv0[inv1[s]]] == inv0[s]]
         else:
             tried = starts
-        for start in tried:
-            pos_label = [0] * (2 * p)
-            pos_label[inv0[start]] = 1
-            neg_vertex = [0, start] + [0] * (p - 1)
-            out = [0] * (3 * p)
-            count, below = 1, False
-            for i in range(p):
-                u = neg_vertex[i + 1]
-                w = inv1[u]
-                j = pos_label[w]
-                if not j:
-                    count += 1
-                    j = pos_label[w] = count
-                    neg_vertex[j] = inv0[w]
-                out[i] = j
-                if not below and j != ceiling[i]:
-                    if j > ceiling[i]:
-                        break
-                    if first:
-                        return out
-                    below = True
-                for k, invc in rest:
-                    w = invc[u]
+        c, d = (c for c in COLORS if c != a and c != b)
+        for rest in (((p, inv[c]), (2 * p, inv[d])), ((p, inv[d]), (2 * p, inv[c]))):
+            for start in tried:
+                pos_label = [0] * (2 * p)
+                pos_label[inv0[start]] = 1
+                neg_vertex = [0, start] + [0] * (p - 1)
+                out = [0] * (3 * p)
+                count, below = 1, False
+                for i in range(p):
+                    u = neg_vertex[i + 1]
+                    w = inv1[u]
                     j = pos_label[w]
                     if not j:
                         count += 1
                         j = pos_label[w] = count
                         neg_vertex[j] = inv0[w]
-                    out[k + i] = j
-            else:
-                if out < ceiling:
-                    if first:
-                        return out
-                    ceiling = best = out
+                    out[i] = j
+                    if not below and j != ceiling[i]:
+                        if j > ceiling[i]:
+                            break
+                        if first:
+                            return out
+                        below = True
+                    for k, invc in rest:
+                        w = invc[u]
+                        j = pos_label[w]
+                        if not j:
+                            count += 1
+                            j = pos_label[w] = count
+                            neg_vertex[j] = inv0[w]
+                        out[k + i] = j
+                else:
+                    if out < ceiling:
+                        if first:
+                            return out
+                        ceiling = best = out
     return best
 
 
 def canonical_entries(g: ColoredGraph) -> list[int]:
     """The minimal traversal entry list; see :func:`canonical_code`."""
-    # every entry is at most p < order, so any traversal beats this ceiling
-    return _least_traversal(g, [g.order] * (3 * g.order // 2), False)
+    # the least list starts with 1 when some bicolored cycle has length 2 (a
+    # double edge), else with [2, 1] when one has length 4; every entry is at
+    # most p < order, so the least list sorts below the ceiling
+    shortest = min(len(c) for walks in _structure(g).cycles for c in walks)
+    head = [1] if shortest == 2 else [2, 1] if shortest == 4 else []
+    return _least_traversal(g, head + [g.order] * (3 * g.order // 2 - len(head)), False)
 
 
 def beats_entries(g: ColoredGraph, ceiling: Sequence[int]) -> bool:
@@ -573,7 +569,7 @@ def canonical_code(g: ColoredGraph) -> str:
     The kernel skips only starts that cannot give a smaller list, by the
     filters stated in :func:`_least_traversal`.
     """
-    rec = _structure(g, cycles=False)
+    rec = _structure(g)
     if not rec.connected:
         raise NotConnectedError("canonical_code requires a connected graph")
     if rec.side is None:

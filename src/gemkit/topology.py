@@ -199,7 +199,7 @@ def first_homology(g: ColoredGraph) -> HomologyGroup:
     :func:`gemkit.homology.group_from_relations` with ``checked=False``, as
     they would pass its checks.
     """
-    if not _structure(g, cycles=False).connected:
+    if not _structure(g).connected:
         raise NotConnectedError("first_homology requires a connected graph")
     rows, free = _relation_walk(g)
     return group_from_relations(len(free), rows, checked=False)
@@ -266,7 +266,7 @@ def invariant_report(
         "name": name,
         "code": code,
         "order": g.order,
-        "bipartite": _structure(g, cycles=False).side is not None,
+        "bipartite": _structure(g).side is not None,
         "closed": profile.closed,
         "boundary": [s.as_dict() for s in profile.components],
         "h1": {"rank": h1.rank, "torsion": list(h1.torsion)},

@@ -3,8 +3,10 @@
 ``canonical_entries`` must equal the minimum over all 24 * order traversals
 built in full, and ``beats_entries`` must agree with comparing every full
 traversal against the ceiling.  The kernel skips starts by three rules (the
-deck-group hint of derived graphs, the double-edge filter and the 4-cycle
-filter); each is checked here against the full search and the reference.
+deck-group hint of derived graphs, and the double-edge and 4-cycle filters,
+which a ceiling starting 1 or [2, 1] turns on); each is checked here against
+the full search and the reference, and so is the ceiling head that
+``canonical_entries`` reads off the structure record.
 """
 
 import random
@@ -162,7 +164,8 @@ def test_only_derived_graph_sets_the_hint():
 
 
 # ---------------------------------------------------------------------------
-# double-edge filter: with a double edge, only starts on one can win
+# double-edge filter: below a ceiling starting with 1, only starts on a
+# double edge can win
 # ---------------------------------------------------------------------------
 
 
@@ -234,8 +237,8 @@ def test_ceiling_starting_with_one_matches_reference_without_double_edge():
 
 
 # ---------------------------------------------------------------------------
-# 4-cycle filter: without a double edge, with a bicolored 4-cycle, only
-# starts on a sigma0 sigma1 4-cycle can win
+# 4-cycle filter: below a ceiling starting [2, 1], only starts on a
+# sigma0 sigma1 4-cycle can win
 # ---------------------------------------------------------------------------
 
 
@@ -405,18 +408,30 @@ def test_hint_and_four_cycle_filter_together(code):
             ), n
 
 
-def test_first_start_tried_lies_on_a_four_cycle():
-    # every list beats a ceiling [2, order], so the first start tried wins
+def test_canonical_entries_pass_the_head_the_record_implies(monkeypatch):
+    # the ceiling starts [1] with a double edge, else [2, 1] with a bicolored
+    # 4-cycle, else with order; order fills the rest, 3p entries in all
     rng = random.Random(97)
-    graphs = [planted_four_cycle(rng, p) for p in range(4, 10)]
-    graphs += [first_derived(code, 5) for code in COVERING_BASE_CODES]
-    # one graph per color pair whose 4-cycles lie in that pair only: the
-    # full search would return start 0, which lies on none
-    graphs += [lone_four_cycle(rng, 7, pair) for pair in COLOR_PAIRS]
-    for g in graphs:
-        p = g.order // 2
-        found = _least_traversal(g, [2, g.order] + [0] * (p - 2), True)
-        assert found[:2] == [2, 1]
+    cases = [(g, [1]) for g in map(parse_code, TABLE_CODES) if has_double_edge(g)]
+    cases += [(g, [2, 1]) for g in map(parse_code, TABLE_CODES) if not has_double_edge(g)]
+    cases += [(planted_double_edge(rng, p), [1]) for p in range(1, 9)]
+    cases += [(planted_four_cycle(rng, p), [2, 1]) for p in range(4, 10)]
+    cases += [(first_derived(code, 5), [2, 1]) for code in COVERING_BASE_CODES]
+    # 4-cycles in one color pair only, missing vertex 0
+    cases += [(lone_four_cycle(rng, 7, pair), [2, 1]) for pair in COLOR_PAIRS]
+    cases += [(no_short_cycle(rng, p), []) for p in range(5, 10)]
+    ceilings = []
+
+    def spy(g, ceiling, first):
+        ceilings.append(list(ceiling))
+        return _least_traversal(g, ceiling, first)
+
+    monkeypatch.setattr("gemkit.graphs._least_traversal", spy)
+    for g, head in cases:
+        ceilings.clear()
+        best = canonical_entries(g)
+        assert best[: len(head)] == head
+        assert ceilings == [head + [g.order] * (3 * g.order // 2 - len(head))]
 
 
 # ---------------------------------------------------------------------------
