@@ -23,8 +23,9 @@ of them is wrapped without the constructor's re-validation; a test checks
 each leaf against the validated build.
 
 Rejection: ``beats_entries`` skips the starts that cannot win, by the
-filters stated in ``graphs._least_traversal``.  A leaf's ceiling is its own
-code, which alone chooses them, so the leaf pays for no scan.
+filters stated in ``graphs._least_traversal``, which the leaf's own code (its
+ceiling) alone chooses, so it pays for no scan.  Below ``[1, k]`` only starts
+on a double edge reading entry 1 at most k are tried, as the prefix rule reads.
 
 Prefix rule: at the start of rows 2 to p-2, a node whose code starts
 ``[1, k]`` with k > 2 is cut when some start on a double edge, under a color

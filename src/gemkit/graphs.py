@@ -472,6 +472,36 @@ def emit_code(
 # ---------------------------------------------------------------------------
 
 
+def _tries(g: ColoredGraph, ceiling: list[int]):
+    """Yield ``(inv0, inv1, inv2, inv3, s)``: each color permutation's maps, in
+    ``permutations(COLORS)`` order, with each start the kernel's rules keep."""
+    p = g.order // 2
+    inv = g.inv
+    starts = range(0, 2 * p, g._deck)
+    for a, b in permutations(COLORS, 2):
+        inv0, inv1 = inv[a], inv[b]
+        double, four, tried = ceiling[0] == 1, ceiling[:2] == [2, 1], starts
+        if double:
+            tried = [s for s in starts if inv0[s] == inv1[s]]
+        elif four:
+            tried = [s for s in starts if inv1[inv0[inv1[s]]] == inv0[s]]
+        c, d = (c for c in COLORS if c != a and c != b)
+        for inv2, inv3 in ((inv[c], inv[d]), (inv[d], inv[c])):
+            for s in tried:
+                one, two, three = inv0[s], inv2[s], inv3[s]
+                if double and p > 1:
+                    y = two if two != one else three  # +2
+                    x = inv1[inv0[y]]
+                    e = 2 if x == y else 3 if x == three else len({one, two, three}) + 1
+                    if e > ceiling[1]:
+                        continue
+                elif four and len({one, inv1[s], two, three}) == 4:
+                    x = inv1[inv0[two]]
+                    if (two, three, x).index(x) + 3 > ceiling[2]:
+                        continue
+                yield inv0, inv1, inv2, inv3, s
+
+
 def _least_traversal(g: ColoredGraph, ceiling: list[int], first: bool):
     """The least traversal entry list sorting strictly below ``ceiling``, or None.
 
@@ -480,66 +510,64 @@ def _least_traversal(g: ColoredGraph, ceiling: list[int], first: bool):
     once that prefix passes the ceiling; if it ends below, it becomes the
     ceiling (with ``first`` it is returned at once, unfinished).
 
-    Starts that cannot win are skipped, by the ceiling and the deck hint
-    alone: off fiber 0 of a derived graph (the deck map is an automorphism);
-    below a ceiling that starts with 1, a list must start with 1, so only
-    the starts that colors sigma0 and sigma1 join to one vertex are tried;
-    below ``[2, 1, ...]`` a list starts with 1 or with ``[2, 1]``, so its
-    start lies on a sigma0 sigma1 double edge or 4-cycle; the 4-cycle test
-    passes both, and only those starts are tried.
+    Starts that cannot win are skipped (:func:`_tries`), by the deck hint and
+    the ceiling as it stands when their turn comes:
+
+    - off fiber 0 of a derived graph (the deck map is an automorphism);
+    - below ``[1, ...]`` a list starts with 1: sigma0 and sigma1 must join s
+      to one vertex (a double edge);
+    - below ``[1, k, ...]``, p > 1, such a start whose entry 1 exceeds k: row
+      0 labels +1, then +2 and +3 from sigma2(s) and sigma3(s) when new, and
+      entry 1 labels x = sigma1(sigma0(+2)), the next label when new;
+    - below ``[2, 1, ...]`` a list starts with 1 or ``[2, 1]``: s lies on a
+      sigma0 sigma1 double edge or 4-cycle, both of which the test passes;
+    - below ``[2, 1, k, ...]`` such a start with four distinct partners whose
+      entry 2 exceeds k: it labels x = sigma1(sigma0(+3)), +3 = sigma2(s),
+      so it is 3 if x = sigma2(s), 4 if x = sigma3(s), else at least 5.
     """
     p = g.order // 2
     best = None
-    starts = range(0, 2 * p, g._deck)
-    inv = g.inv
-    double = ceiling[0] == 1
-    four = ceiling[:2] == [2, 1]
-    # the filters read sigma0 and sigma1 only: one start list serves both
-    # orders of the other two colors
-    for a, b in permutations(COLORS, 2):
-        inv0, inv1 = inv[a], inv[b]
-        if double:
-            tried = [s for s in starts if inv0[s] == inv1[s]]
-        elif four:
-            tried = [s for s in starts if inv1[inv0[inv1[s]]] == inv0[s]]
+    ceiling = list(ceiling)  # lowered in place: _tries reads it as it drops
+    for inv0, inv1, inv2, inv3, start in _tries(g, ceiling):
+        pos_label = [0] * (2 * p)
+        pos_label[inv0[start]] = 1
+        neg_vertex = [0, start] + [0] * (p - 1)
+        out = [0] * (3 * p)
+        count, below = 1, False
+        for i in range(p):
+            u = neg_vertex[i + 1]
+            w = inv1[u]
+            j = pos_label[w]
+            if not j:
+                count += 1
+                j = pos_label[w] = count
+                neg_vertex[j] = inv0[w]
+            out[i] = j
+            if not below and j != ceiling[i]:
+                if j > ceiling[i]:
+                    break
+                if first:
+                    return out
+                below = True
+            w = inv2[u]
+            j = pos_label[w]
+            if not j:
+                count += 1
+                j = pos_label[w] = count
+                neg_vertex[j] = inv0[w]
+            out[p + i] = j
+            w = inv3[u]
+            j = pos_label[w]
+            if not j:
+                count += 1
+                j = pos_label[w] = count
+                neg_vertex[j] = inv0[w]
+            out[2 * p + i] = j
         else:
-            tried = starts
-        c, d = (c for c in COLORS if c != a and c != b)
-        for rest in (((p, inv[c]), (2 * p, inv[d])), ((p, inv[d]), (2 * p, inv[c]))):
-            for start in tried:
-                pos_label = [0] * (2 * p)
-                pos_label[inv0[start]] = 1
-                neg_vertex = [0, start] + [0] * (p - 1)
-                out = [0] * (3 * p)
-                count, below = 1, False
-                for i in range(p):
-                    u = neg_vertex[i + 1]
-                    w = inv1[u]
-                    j = pos_label[w]
-                    if not j:
-                        count += 1
-                        j = pos_label[w] = count
-                        neg_vertex[j] = inv0[w]
-                    out[i] = j
-                    if not below and j != ceiling[i]:
-                        if j > ceiling[i]:
-                            break
-                        if first:
-                            return out
-                        below = True
-                    for k, invc in rest:
-                        w = invc[u]
-                        j = pos_label[w]
-                        if not j:
-                            count += 1
-                            j = pos_label[w] = count
-                            neg_vertex[j] = inv0[w]
-                        out[k + i] = j
-                else:
-                    if out < ceiling:
-                        if first:
-                            return out
-                        ceiling = best = out
+            if out < ceiling:
+                if first:
+                    return out
+                ceiling[:] = best = out
     return best
 
 
@@ -547,7 +575,8 @@ def canonical_entries(g: ColoredGraph) -> list[int]:
     """The minimal traversal entry list; see :func:`canonical_code`."""
     # the least list starts with 1 when some bicolored cycle has length 2 (a
     # double edge), else with [2, 1] when one has length 4; every entry is at
-    # most p < order, so the least list sorts below the ceiling
+    # most p < order, so the least list sorts below the ceiling, whose order
+    # entries hold off the entry-1 and entry-2 rules until a list lowers them
     shortest = min(len(c) for walks in _structure(g).cycles for c in walks)
     head = [1] if shortest == 2 else [2, 1] if shortest == 4 else []
     return _least_traversal(g, head + [g.order] * (3 * g.order // 2 - len(head)), False)

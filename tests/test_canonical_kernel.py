@@ -2,15 +2,19 @@
 
 ``canonical_entries`` must equal the minimum over all 24 * order traversals
 built in full, and ``beats_entries`` must agree with comparing every full
-traversal against the ceiling.  The kernel skips starts by three rules (the
-deck-group hint of derived graphs, and the double-edge and 4-cycle filters,
-which a ceiling starting 1 or [2, 1] turns on); each is checked here against
-the full search and the reference, and so is the ceiling head that
-``canonical_entries`` reads off the structure record.
+traversal against the ceiling.  The kernel skips starts by five rules: the
+deck-group hint of derived graphs, the double-edge and 4-cycle filters,
+which a ceiling starting 1 or [2, 1] turns on, and the entry-1 and entry-2
+reads behind them, which a ceiling starting [1, k] or [2, 1, k] turns on.
+``_tries`` yields the starts the rules keep, so each rule is checked here
+against its statement (a disabled filter changes speed, not results), each
+entry read against full traversals, and the whole kernel against the full
+search and the reference; so is the ceiling head that ``canonical_entries``
+reads off the structure record.
 """
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -31,6 +35,7 @@ from gemkit import (
 from gemkit.census import _prefix_beaten
 from gemkit.graphs import (
     _least_traversal,
+    _tries,
     beats_entries,
     canonical_entries,
 )
@@ -173,17 +178,21 @@ def has_double_edge(g):
     return any(g.inv[a][v] == g.inv[b][v] for a, b in COLOR_PAIRS for v in range(g.order))
 
 
+def plant_double_edge(blocks, a, b, i):
+    """Swap entries of block b (a < b) so that -(i+1) has the same color-b
+    partner as its color-a partner."""
+    target = i + 1 if a == 0 else blocks[a - 1][i]
+    block = blocks[b - 1]
+    k = block.index(target)
+    block[i], block[k] = block[k], block[i]
+
+
 def planted_double_edge(rng, p):
     """A random connected bipartite graph whose colors a, b double one edge."""
     while True:
         blocks = [rng.sample(range(1, p + 1), p) for _ in range(3)]
         a, b = rng.choice(COLOR_PAIRS)
-        i = rng.randrange(p)
-        # give -(i+1) the same color-b partner as its color-a partner
-        target = i + 1 if a == 0 else blocks[a - 1][i]
-        block = blocks[b - 1]
-        k = block.index(target)
-        block[i], block[k] = block[k], block[i]
+        plant_double_edge(blocks, a, b, rng.randrange(p))
         g = ColoredGraph.from_blocks(blocks)
         if is_connected(g):
             return g
@@ -432,6 +441,282 @@ def test_canonical_entries_pass_the_head_the_record_implies(monkeypatch):
         best = canonical_entries(g)
         assert best[: len(head)] == head
         assert ceilings == [head + [g.order] * (3 * g.order // 2 - len(head))]
+
+
+# ---------------------------------------------------------------------------
+# entry-1 and entry-2 rules, and the starts _tries keeps
+# ---------------------------------------------------------------------------
+
+
+def partners(g, sigma, s):
+    """``s``'s sigma0, sigma1, sigma2 and sigma3 partners."""
+    return tuple(g.inv[c][s] for c in sigma)
+
+
+def test_entry_one_of_a_doubled_start():
+    # below [1, k]: +1 is the doubled partner, +2 the first of the sigma2 and
+    # sigma3 partners that is new, and entry 1 labels x = sigma1(sigma0(+2))
+    rng = random.Random(107)
+    graphs = [parse_code(code) for code in TABLE_CODES]
+    for p in range(2, 9):
+        graphs += [planted_double_edge(rng, p) for _ in range(4)]
+        graphs += [random_connected_bipartite(rng, p) for _ in range(4)]
+    graphs += [triple_edge(rng, p) for p in range(2, 9)]
+    seen = {}
+    for g in graphs:
+        for sigma in permutations(COLORS):
+            m0, m1 = g.inv[sigma[0]], g.inv[sigma[1]]
+            for s in range(g.order):
+                one, one_again, two, three = partners(g, sigma, s)
+                if one != one_again:
+                    continue
+                entry = full_traversal(g, sigma, s)[1]
+                plus2 = two if two != one else three
+                x = m1[m0[plus2]]
+                if len({one, two, three}) == 3:
+                    # the rule's statement: 2, 3 or 4 by where x falls
+                    expected = 2 if x == two else 3 if x == three else 4
+                else:
+                    # a repeated partner leaves only +1 and +2 before entry 1
+                    expected = 2 if x == plus2 else 3
+                assert entry == expected, (sigma, s)
+                key = (len({one, two, three}), entry)
+                seen[key] = seen.get(key, 0) + 1
+    assert set(seen) == {(3, 2), (3, 3), (3, 4), (2, 2), (2, 3)}, seen
+
+
+def test_entry_two_on_a_four_cycle_with_distinct_partners():
+    # below [2, 1, k]: a start on a sigma0 sigma1 4-cycle meeting four
+    # distinct vertices has entry 2 = 3, 4 or at least 5 by where x falls
+    rng = random.Random(109)
+    graphs = [parse_code(code) for code in TABLE_CODES]
+    graphs += [planted_four_cycle(rng, p) for p in range(4, 10) for _ in range(3)]
+    graphs += [random_connected_bipartite(rng, p) for p in range(4, 10) for _ in range(3)]
+    graphs += [first_derived(code, 2) for code in COVERING_BASE_CODES]
+    seen = {3: 0, 4: 0, 5: 0}
+    for g in graphs:
+        for sigma in permutations(COLORS):
+            m0, m1 = g.inv[sigma[0]], g.inv[sigma[1]]
+            for s in range(g.order):
+                one, other, two, three = partners(g, sigma, s)
+                if not on_four_cycle(g, sigma, s) or len({one, other, two, three}) < 4:
+                    continue
+                entry = full_traversal(g, sigma, s)[2]
+                x = m1[m0[two]]
+                if x == two:
+                    assert entry == 3, (sigma, s)
+                elif x == three:
+                    assert entry == 4, (sigma, s)
+                else:
+                    assert entry >= 5, (sigma, s)
+                seen[min(entry, 5)] += 1
+    assert min(seen.values()) > 50, seen
+
+
+RULES = ("deck", "double", "entry 1", "four", "entry 2")
+
+
+def stated_tries(g, ceiling, lists, off=None):
+    """What ``_tries`` yields as the rules of ``_least_traversal`` state them,
+    every entry read off the full traversal in ``lists[sigma, s]``; the rule
+    named ``off`` is left out."""
+    p = g.order // 2
+    out = []
+    for sigma in permutations(COLORS):
+        maps = tuple(g.inv[c] for c in sigma)
+        for s in range(0, g.order, 1 if off == "deck" else g._deck):
+            one, other, two, three = partners(g, sigma, s)
+            entries = lists[sigma, s]
+            if ceiling[0] == 1:
+                if off != "double" and one != other:
+                    continue
+                if off != "entry 1" and one == other and p > 1 and entries[1] > ceiling[1]:
+                    continue
+            elif ceiling[:2] == [2, 1]:
+                on = on_four_cycle(g, sigma, s)
+                if off != "four" and not on:
+                    continue
+                distinct = len({one, other, two, three}) == 4
+                if off != "entry 2" and on and distinct and min(entries[2], 5) > ceiling[2]:
+                    continue
+            out.append((*maps, s))
+    return out
+
+
+def seam_ceilings(g, rng):
+    """Ceilings with every head the rules read: ``[1, k]`` and ``[2, 1, k]``
+    for k from 1 past the largest entry a rule can drop, ``[2, 2]`` and
+    ``[3]``; plus the graph's canonical entries and sampled traversals."""
+    p = g.order // 2
+    heads = [[1, k] for k in range(1, 6)] + [[2, 1, k] for k in range(1, 7)]
+    heads += [[2, 2], [3]]
+    out = [(head + [p] * (3 * p))[: max(3 * p, len(head))] for head in heads]
+    cands = all_traversals(g)
+    out.append(canonical_entries(g))
+    out += [list(c) for c in rng.sample(cands, min(6, len(cands)))]
+    return out
+
+
+def test_tries_keep_what_the_rules_state():
+    # a sound rule changes which starts are tried, never a result, so the
+    # starts themselves are compared with the rules' statements; each rule
+    # drops starts here, so the comparison fails if any one is left out
+    rng = random.Random(127)
+    graphs = [parse_code(code) for code in TABLE_CODES]
+    graphs += [planted_double_edge(rng, p) for p in range(1, 9)]
+    graphs += [planted_four_cycle(rng, p) for p in range(4, 10)]
+    graphs += [triple_edge(rng, p) for p in range(2, 8)]
+    graphs += [double_pair_at_start(rng, p, four) for p in range(4, 8) for four in (0, 1)]
+    graphs += [double_next_to_four_cycle(rng, p) for p in range(4, 8)]
+    graphs += [first_derived(code, n) for code in COVERING_BASE_CODES for n in (2, 3)]
+    dropped = dict.fromkeys(RULES, 0)
+    for g in graphs:
+        lists = {
+            (sigma, s): full_traversal(g, sigma, s)
+            for sigma in permutations(COLORS)
+            for s in range(g.order)
+        }
+        for ceiling in seam_ceilings(g, rng):
+            stated = stated_tries(g, ceiling, lists)
+            assert list(_tries(g, ceiling)) == stated, (g.inv, ceiling)
+            for rule in RULES:
+                dropped[rule] += len(stated_tries(g, ceiling, lists, rule)) - len(stated)
+    assert min(dropped.values()) > 100, dropped
+
+
+# ---------------------------------------------------------------------------
+# degenerate starts of the entry rules against the full search
+# ---------------------------------------------------------------------------
+
+
+def planted(rng, p, plant, holds):
+    """A connected bipartite graph from random blocks changed by ``plant``,
+    drawn until ``holds`` accepts it."""
+    while True:
+        blocks = [rng.sample(range(1, p + 1), p) for _ in range(3)]
+        plant(blocks)
+        g = ColoredGraph.from_blocks(blocks)
+        if is_connected(g) and holds(g):
+            return g
+
+
+def some_start(g, test):
+    return any(
+        test(sigma, s, partners(g, sigma, s))
+        for sigma in permutations(COLORS)
+        for s in range(g.order)
+    )
+
+
+def triple_edge(rng, p):
+    """Three colors join one start to one vertex."""
+
+    def plant(blocks):
+        a, b, c = sorted(rng.sample(COLORS, 3))
+        i = rng.randrange(p)
+        plant_double_edge(blocks, a, b, i)
+        plant_double_edge(blocks, a, c, i)
+
+    return planted(rng, p, plant, lambda g: some_start(g, lambda _, __, m: m[0] == m[1] == m[2]))
+
+
+def double_pair_at_start(rng, p, four):
+    """Colors sigma2 and sigma3 double an edge at a start that sigma0 and
+    sigma1 join by a 4-cycle (``four``) or by a double edge."""
+
+    def plant(blocks):
+        (a, b), (c, d) = rng.choice(list(zip(COLOR_PAIRS, COLOR_PAIRS[::-1])))
+        i, k = rng.sample(range(p), 2)
+        if four:
+            plant_four_cycle(blocks, a, b, i, k)
+        else:
+            plant_double_edge(blocks, a, b, i)
+        plant_double_edge(blocks, c, d, i)
+
+    def holds(g):
+        return some_start(
+            g,
+            lambda sigma, s, m: m[2] == m[3]
+            and (m[0] != m[1] and on_four_cycle(g, sigma, s) if four else m[0] == m[1]),
+        )
+
+    return planted(rng, p, plant, holds)
+
+
+def double_next_to_four_cycle(rng, p):
+    """A start on a sigma0 sigma1 4-cycle whose sigma2 or sigma3 partner
+    doubles its sigma0 or sigma1 edge."""
+
+    def plant(blocks):
+        a, b = rng.choice(COLOR_PAIRS)
+        i, k = rng.sample(range(p), 2)
+        plant_four_cycle(blocks, a, b, i, k)
+        plant_double_edge(blocks, *rng.choice(COLOR_PAIRS), i)
+
+    def holds(g):
+        return some_start(
+            g,
+            lambda sigma, s, m: m[0] != m[1]
+            and on_four_cycle(g, sigma, s)
+            and bool({m[2], m[3]} & {m[0], m[1]}),
+        )
+
+    return planted(rng, p, plant, holds)
+
+
+def all_connected(p):
+    """Every connected bipartite graph on p vertex pairs, as blocks."""
+    graphs = []
+    for blocks in product(permutations(range(1, p + 1)), repeat=3):
+        g = ColoredGraph.from_blocks(blocks)
+        if is_connected(g):
+            graphs.append(g)
+    return graphs
+
+
+def degenerate_ceilings(rng, cands, p):
+    """Ceilings with the heads the entry rules read: ``[2, 1, 3]``,
+    ``[2, 1, 4]``, ``[1, 2]`` and ``[1, 3]``, alone, padded high and low, with
+    random tails, and as the head of sampled traversals."""
+    out = []
+    for head in ([2, 1, 3], [2, 1, 4], [1, 2], [1, 3]):
+        out += [head, head + [p] * (3 * p), head + [1] * (3 * p)]
+        out += [head + [rng.randint(1, p) for _ in range(3 * p - len(head))] for _ in range(2)]
+        out += [head + list(c[len(head) :]) for c in rng.sample(cands, min(3, len(cands)))]
+    return out
+
+
+def check_degenerate(graphs, rng):
+    for g in graphs:
+        cands = all_traversals(g)
+        assert canonical_entries(g) == min(cands)
+        check_first_modes(g, degenerate_ceilings(rng, cands, g.order // 2))
+
+
+def test_entry_rules_with_a_triple_edge_at_the_start():
+    rng = random.Random(137)
+    check_degenerate([triple_edge(rng, p) for p in range(2, 8) for _ in range(3)], rng)
+
+
+@pytest.mark.parametrize("four", [True, False], ids=["four-cycle", "double-edge"])
+def test_entry_rules_with_a_sigma2_sigma3_double_edge_at_the_start(four):
+    rng = random.Random(139)
+    graphs = [double_pair_at_start(rng, p, four) for p in range(4, 8) for _ in range(3)]
+    check_degenerate(graphs, rng)
+
+
+def test_entry_rules_with_a_double_edge_next_to_a_four_cycle():
+    rng = random.Random(149)
+    graphs = [double_next_to_four_cycle(rng, p) for p in range(4, 8) for _ in range(3)]
+    check_degenerate(graphs, rng)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_entry_rules_on_every_small_graph(p):
+    rng = random.Random(151 + p)
+    graphs = all_connected(p)
+    assert len(graphs) == {1: 1, 2: 7, 3: 194}[p]
+    check_degenerate(graphs, rng)
 
 
 # ---------------------------------------------------------------------------
