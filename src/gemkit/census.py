@@ -22,10 +22,10 @@ Trusted leaf: the leaf's maps are involutions by construction, so a snapshot
 of them is wrapped without the constructor's re-validation; a test checks
 each leaf against the validated build.
 
-Rejection: ``beats_entries`` skips the starts that cannot win, by the
-filters stated in ``graphs._least_traversal``, which the leaf's own code (its
-ceiling) alone chooses, so it pays for no scan.  Below ``[1, k]`` only starts
-on a double edge reading entry 1 at most k are tried, as the prefix rule reads.
+Rejection: ``beats_entries`` tries the starts kept by the filters stated in
+``graphs._least_traversal``, which the leaf's code (its ceiling) alone chooses:
+below ``[1, k]``, double-edge starts reading entry 1 at most k, as the prefix
+rule reads.  The leaf's own traversal, a tie at best, is tried last.
 
 Prefix rule: at the start of rows 2 to p-2, a node whose code starts
 ``[1, k]`` with k > 2 is cut when some start on a double edge, under a color

@@ -474,8 +474,9 @@ def emit_code(
 
 def _tries(g: ColoredGraph, ceiling: list[int]):
     """Yield ``(inv0, inv1, inv2, inv3, s)``: each color permutation's maps, in
-    ``permutations(COLORS)`` order, with each start the kernel's rules keep."""
-    p = g.order // 2
+    ``permutations(COLORS)`` order, with each start the kernel's rules keep;
+    the first kept try (a census leaf's own traversal, a tie) comes last."""
+    p, own = g.order // 2, []
     inv = g.inv
     starts = range(0, 2 * p, g._deck)
     for a, b in permutations(COLORS, 2):
@@ -499,7 +500,11 @@ def _tries(g: ColoredGraph, ceiling: list[int]):
                     x = inv1[inv0[two]]
                     if (two, three, x).index(x) + 3 > ceiling[2]:
                         continue
-                yield inv0, inv1, inv2, inv3, s
+                if own:
+                    yield inv0, inv1, inv2, inv3, s
+                else:
+                    own = [(inv0, inv1, inv2, inv3, s)]
+    yield from own
 
 
 def _least_traversal(g: ColoredGraph, ceiling: list[int], first: bool):
@@ -510,8 +515,8 @@ def _least_traversal(g: ColoredGraph, ceiling: list[int], first: bool):
     once that prefix passes the ceiling; if it ends below, it becomes the
     ceiling (with ``first`` it is returned at once, unfinished).
 
-    Starts that cannot win are skipped (:func:`_tries`), by the deck hint and
-    the ceiling as it stands when their turn comes:
+    Tries follow :func:`_tries`, the first kept one last.  Starts that cannot
+    win are skipped, by the deck hint and the ceiling as it stands then:
 
     - off fiber 0 of a derived graph (the deck map is an automorphism);
     - below ``[1, ...]`` a list starts with 1: sigma0 and sigma1 must join s

@@ -6,6 +6,7 @@ isomorphism bucketing).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
@@ -30,6 +31,7 @@ from gemkit import (
     residues,
     verify_covering,
 )
+import gemkit.graphs as graphs_mod
 from gemkit.census import CensusEntry, enumerate_gems
 from gemkit.errors import (
     BadLengthError,
@@ -276,6 +278,32 @@ def all_traversals(g):
 def reference_canonical_entries(g):
     """The minimum over every full traversal: the canonical entry list."""
     return min(all_traversals(g))
+
+
+@contextmanager
+def kernel_tries():
+    """Record the canonical kernel's tries while the block runs.
+
+    ``graphs._tries`` is wrapped, and the list given to the block gets one
+    list per kernel call: the ``(inv0, inv1, inv2, inv3, s)`` tries that
+    call took, in order.  A call that returns at its first winner takes no
+    try past it, so ``sum(map(len, calls))`` counts the traversals allocated.
+    """
+    real = graphs_mod._tries
+    calls = []
+
+    def spy(g, ceiling):
+        taken = []
+        calls.append(taken)
+        for t in real(g, ceiling):
+            taken.append(t)
+            yield t
+
+    graphs_mod._tries = spy
+    try:
+        yield calls
+    finally:
+        graphs_mod._tries = real
 
 
 # ---------------------------------------------------------------------------

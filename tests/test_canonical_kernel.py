@@ -6,11 +6,11 @@ traversal against the ceiling.  The kernel skips starts by five rules: the
 deck-group hint of derived graphs, the double-edge and 4-cycle filters,
 which a ceiling starting 1 or [2, 1] turns on, and the entry-1 and entry-2
 reads behind them, which a ceiling starting [1, k] or [2, 1, k] turns on.
-``_tries`` yields the starts the rules keep, so each rule is checked here
-against its statement (a disabled filter changes speed, not results), each
-entry read against full traversals, and the whole kernel against the full
-search and the reference; so is the ceiling head that ``canonical_entries``
-reads off the structure record.
+``_tries`` yields the starts the rules keep, the first kept one last, so
+each rule is checked here against its statement (a disabled filter changes
+speed, not results), each entry read against full traversals, and the whole
+kernel against the full search and the reference; so is the ceiling head
+that ``canonical_entries`` reads off the structure record.
 """
 
 import random
@@ -518,8 +518,9 @@ RULES = ("deck", "double", "entry 1", "four", "entry 2")
 
 def stated_tries(g, ceiling, lists, off=None):
     """What ``_tries`` yields as the rules of ``_least_traversal`` state them,
-    every entry read off the full traversal in ``lists[sigma, s]``; the rule
-    named ``off`` is left out."""
+    every entry read off the full traversal in ``lists[sigma, s]``, in order
+    save that the first kept try comes last; the rule named ``off`` is left
+    out."""
     p = g.order // 2
     out = []
     for sigma in permutations(COLORS):
@@ -540,7 +541,7 @@ def stated_tries(g, ceiling, lists, off=None):
                 if off != "entry 2" and on and distinct and min(entries[2], 5) > ceiling[2]:
                     continue
             out.append((*maps, s))
-    return out
+    return out[1:] + out[:1]
 
 
 def seam_ceilings(g, rng):

@@ -32,6 +32,7 @@ from helpers import (
     ORDER8_Z2_CODE,
     automorphism_count,
     census_start_count,
+    kernel_tries,
     naive_census,
     reference_enumerate_gems,
     table1_census_clashes,
@@ -140,6 +141,29 @@ class TestEnumerate:
     )
     def test_prefix_rule_leaf_count(self, census_leaves, order, leaf_count):
         assert len(census_leaves(order)[1]) == leaf_count
+
+    @pytest.mark.parametrize("order, try_count", [(2, 48), (4, 84), (6, 321), (8, 2334)])
+    def test_leaf_test_tries_the_leafs_own_traversal_last(
+        self, census_leaves, order, try_count
+    ):
+        # a leaf's own traversal (identity, start 0) reproduces its code, the
+        # ceiling, so it never wins: a beaten leaf wins before reaching it,
+        # and a kept leaf runs it last of all its tries
+        entries, leaves = census_leaves(order)
+        kept = 0
+        with kernel_tries() as calls:
+            for g, ceiling in leaves:
+                beaten = beats_entries(g, ceiling)
+                taken = calls[-1]
+                own = [
+                    k
+                    for k, (*maps, s) in enumerate(taken)
+                    if s == 0 and all(m is c for m, c in zip(maps, g.inv))
+                ]
+                assert own == ([] if beaten else [len(taken) - 1]), ceiling
+                kept += not beaten
+        assert len(calls) == len(leaves) and kept == len(entries)
+        assert sum(map(len, calls)) == try_count
 
     @pytest.mark.parametrize("order", [2, 4, 6, 8, 10])
     def test_leaves_and_classes_match_former_generator(self, census_leaves, order):
