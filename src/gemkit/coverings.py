@@ -332,12 +332,17 @@ def complexity_bounds_report(
     ``tetrahedra`` is the number of ideal tetrahedra in a triangulation of
     the base manifold; an admissible degree-n covering glues n times as
     many, while the derived graph has n times the base order, giving
-    ``n * tetrahedra <= complexity <= n * base.order``.  Existence of such a
-    covering is checked by construction before reporting.
+    ``n * tetrahedra <= complexity <= n * base.order``.  The derived graph
+    triangulates the cover with n * base.order tetrahedra, so
+    ``tetrahedra`` above ``base.order`` is refused as crossed bounds; equal
+    to it, the bounds meet and give the complexity exactly.  Existence of
+    such a covering is checked by construction before reporting.
     """
     tetrahedra, n = index(tetrahedra), index(n)
     if tetrahedra < 1:
         raise ValueError("tetrahedra must be positive")
+    if tetrahedra > base.order:
+        raise ValueError("tetrahedra must not exceed the base order")
     if not find_admissible_cyclic_coverings(base, n, limit=1):
         raise NoAdmissibleCoveringError(
             "no connected admissible Z_%d covering of this base" % n

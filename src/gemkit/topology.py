@@ -223,28 +223,6 @@ def is_six_regular(g: ColoredGraph) -> bool:
     return all(len(cyc) == 6 for cycles in rec.cycles for cyc in cycles)
 
 
-@dataclass(frozen=True)
-class GemComplexityReport:
-    """Graph-size complexity data: upper bounds read off one graph's order."""
-
-    order: int
-    closed: bool
-    gem_complexity: Optional[int]
-    upper_bound: int
-
-
-def gem_complexity_report(g: ColoredGraph) -> GemComplexityReport:
-    """Order-based complexity report.
-
-    A closed manifold represented by a graph on 2k+2 vertices has graph
-    complexity at most k; for bounded manifolds the order itself is the
-    upper bound on the minimal representing order.
-    """
-    closed = is_closed(g)
-    k = (g.order - 2) // 2 if closed else None
-    return GemComplexityReport(g.order, closed, k, g.order)
-
-
 def euler_characteristic(g: ColoredGraph) -> int:
     """Euler characteristic of the represented 3-complex.
 

@@ -540,6 +540,18 @@ class TestComplexityBounds:
         with pytest.raises(ValueError):
             complexity_bounds_report(parse_code(BASE_CODES[0]), 0, 2)
 
+    def test_crossed_bounds_refused(self):
+        # the derived graph attains n * base.order, so a lower bound above
+        # it is wrong input; equal to it, the bounds meet
+        base = parse_code(BASE_CODES[0])
+        with pytest.raises(ValueError):
+            complexity_bounds_report(base, 20, 2)
+        with pytest.raises(ValueError):
+            complexity_bounds_report(base, base.order + 1, 1)
+        with pytest.raises(ValueError):
+            complexity_bounds_report(parse_code("AAA"), 5, 1)
+        assert complexity_bounds_report(base, base.order, 2) == ComplexityBounds(24, 24)
+
     def test_fractional_tetrahedra_rejected(self):
         with pytest.raises(TypeError):
             complexity_bounds_report(parse_code(BASE_CODES[0]), 2.5, 2)

@@ -1,6 +1,7 @@
-"""The README's promises about the package: every entry point it lists
-under "Other entry points" is re-exported from ``gemkit``, and its quick
-start gives the results written in its comments."""
+"""The package's exports and the README's promises about them: ``from
+gemkit import *`` gives every name of ``__all__`` once, every entry point
+the README lists under "Other entry points" is re-exported from ``gemkit``,
+and its quick start gives the results written in its comments."""
 
 import ast
 import os
@@ -22,6 +23,13 @@ def test_readme_entry_points_are_exported():
     assert len(names) >= 17
     assert [n for n in names if n not in gemkit.__all__] == []
     assert all(hasattr(gemkit, n) for n in names)
+
+
+def test_star_import_gives_all_without_duplicates():
+    namespace = {}
+    exec("from gemkit import *", namespace)
+    assert len(set(gemkit.__all__)) == len(gemkit.__all__)
+    assert sorted(n for n in namespace if n != "__builtins__") == sorted(gemkit.__all__)
 
 
 def shows(value, comment):

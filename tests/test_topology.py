@@ -19,7 +19,6 @@ from gemkit import (
     euler_characteristic,
     find_admissible_cyclic_coverings,
     first_homology,
-    gem_complexity_report,
     invariant_report,
     is_bipartite,
     is_closed,
@@ -472,22 +471,6 @@ class TestSixRegular:
 
 
 class TestReports:
-    def test_complexity_report_closed(self):
-        rep = gem_complexity_report(parse_code("AAA"))
-        assert (rep.order, rep.closed, rep.gem_complexity, rep.upper_bound) == (
-            2,
-            True,
-            0,
-            2,
-        )
-        rep = gem_complexity_report(parse_code(ORDER8_Z2_CODE))
-        assert (rep.gem_complexity, rep.upper_bound) == (3, 8)
-
-    def test_complexity_report_bounded(self):
-        rep = gem_complexity_report(parse_code(TABLE_CODES[0]))
-        assert rep.order == 14 and not rep.closed
-        assert rep.gem_complexity is None and rep.upper_bound == 14
-
     def test_invariant_report_contents(self):
         row = TABLE1[0]
         rep = invariant_report(parse_code(row.code), name=row.name, code=row.code)
