@@ -1,6 +1,10 @@
 """Enumeration of connected bipartite graphs up to color isomorphism,
 classification, and verification of the bundled order-14 table.
 
+A census class is its canonical code string: the generator yields codes,
+``build_census`` sorts them, and ``write_census`` classifies each code as it
+writes its line.
+
 The generator builds one graph in place.  Color 0 joins vertex ``i`` to
 ``p+i``; the search fills in the color-1, 2 and 3 partners of vertex 0, then
 of vertex 1, and so on, and backtracking reopens both ends of an edge (an
@@ -40,7 +44,7 @@ from 13,157 to 7,754 at order 10 and from 489,407 to 242,769 at order 12.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional
 
 from gemkit.data import CENSUS_FORMAT, TABLE1, Table1Row
@@ -61,32 +65,24 @@ from gemkit.topology import boundary_profile, first_homology, invariant_report
 ENUMERATION_CAP = 12
 
 
-@dataclass(frozen=True)
-class CensusEntry:
-    """One isomorphism class: its canonical code, order and invariants."""
+def enumerate_gems(order: int) -> Iterator[str]:
+    """Yield the canonical code of each color-isomorphism class of the
+    given order.
 
-    canonical: str
-    order: int
-    invariants: Optional[dict] = None
-
-
-def enumerate_gems(order: int) -> Iterator[CensusEntry]:
-    """Yield one entry per color-isomorphism class of the given order.
-
-    The census is of connected bipartite graphs; entries appear in
-    search order (sort by canonical code for the file format).
+    The census is of connected bipartite graphs; codes appear in search
+    order (sort them for the file format).
     """
     if order < 2 or order % 2:
         raise ValueError("order must be a positive even integer")
     p = order // 2
     maps = [list(range(p, order)) + list(range(p))] + [[-1] * order for _ in range(3)]
 
-    def extend(t: int, maxseen: int) -> Iterator[CensusEntry]:
+    def extend(t: int, maxseen: int) -> Iterator[str]:
         if t == 3 * p:
             ceiling = [w - p + 1 for m in maps[1:] for w in m[:p]]
             g = ColoredGraph._trusted(tuple(map(tuple, maps)))
             if not beats_entries(g, ceiling):
-                yield CensusEntry(_serialize_entries(ceiling), order)
+                yield _serialize_entries(ceiling)
             return
         i, c = divmod(t, 3)
         if c == 0 and i and maxseen < i + 1:
@@ -145,36 +141,29 @@ def _prefix_beaten(maps: list[list[int]], k: int) -> bool:
     return False
 
 
-def classify(entry: CensusEntry) -> CensusEntry:
-    """Attach the invariant record to a census entry."""
-    g = parse_code(entry.canonical)
-    return replace(
-        entry, invariants=invariant_report(g, name=None, code=entry.canonical)
-    )
+def classify(code: str) -> dict:
+    """The invariant record of one census class, given its canonical code."""
+    return invariant_report(parse_code(code), name=None, code=code)
 
 
-def build_census(order: int, *, classified: bool = True) -> list[CensusEntry]:
-    """The full classified census of one order, sorted by canonical code.
-
-    With ``classified`` false the entries carry no invariants, for a caller
-    that classifies only those it keeps (``gemkit census --max-results``).
-    """
+def build_census(order: int) -> list[str]:
+    """The canonical codes of one order's census, sorted."""
     if order > ENUMERATION_CAP:
         raise CapExceededError(
             "order %d exceeds the enumeration cap %d" % (order, ENUMERATION_CAP)
         )
-    entries = sorted(enumerate_gems(order), key=lambda e: e.canonical)
-    return [classify(e) for e in entries] if classified else entries
+    return sorted(enumerate_gems(order))
 
 
-def write_census(fh: IO[str], entries: Iterable[CensusEntry], order: int) -> None:
+def write_census(fh: IO[str], codes: Iterable[str], order: int) -> None:
     """Write the census file format: hash-prefixed header, then one
-    ``canonical<TAB>invariant-JSON`` line per entry."""
+    ``canonical<TAB>invariant-JSON`` line per code, each classified as it
+    is written."""
     fh.write("#%s\n" % CENSUS_FORMAT)
     fh.write("#order=%d\n" % order)
     fh.write("#opts=bipartite,connected\n")
-    for e in entries:
-        fh.write("%s\t%s\n" % (e.canonical, json.dumps(e.invariants, separators=(",", ":"))))
+    for code in codes:
+        fh.write("%s\t%s\n" % (code, json.dumps(classify(code), separators=(",", ":"))))
 
 
 def minimality_probe(
@@ -195,8 +184,8 @@ def minimality_probe(
             "max_order %d exceeds the enumeration cap %d" % (max_order, ENUMERATION_CAP)
         )
     for order in range(2, max_order + 1, 2):
-        for entry in enumerate_gems(order):
-            g = parse_code(entry.canonical)
+        for code in enumerate_gems(order):
+            g = parse_code(code)
             profile = boundary_profile(g)
             if closed is not None and profile.closed != closed:
                 continue

@@ -150,10 +150,8 @@ def _cmd_census(args) -> int:
     # open --out before the search, so a bad path fails at once
     out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     with out as fh:
-        entries = census_mod.build_census(args.order, classified=False)
-        # classify only the entries kept, one at a time as each is written
-        kept = map(census_mod.classify, entries[: args.max_results])
-        census_mod.write_census(fh, kept, args.order)
+        codes = census_mod.build_census(args.order)[: args.max_results]
+        census_mod.write_census(fh, codes, args.order)  # classifies as it writes
     return 0
 
 

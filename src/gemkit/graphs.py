@@ -427,6 +427,8 @@ def parse_code(text: str) -> ColoredGraph:
 
 def identity_labeling(order: int) -> tuple[int, ...]:
     """The labeling produced by :func:`parse_code`: ``-1..-p`` then ``+1..+p``."""
+    if order < 2 or order % 2:
+        raise ValueError("order must be a positive even integer")
     p = order // 2
     return tuple(-(i + 1) for i in range(p)) + tuple(i + 1 for i in range(p))
 
@@ -451,9 +453,11 @@ def emit_code(
         raise InvalidLabelingError("labeling has %d entries for order %d" % (len(labels), n))
     # -i goes to slot i-1 and +i to slot p+i-1, the layout of parse_code
     order = [-1] * n
-    for v, lab in enumerate(labels):
-        if not isinstance(lab, int) or lab == 0 or abs(lab) > p:
-            raise InvalidLabelingError("label %r out of range at vertex %d" % (lab, v))
+    for v, label in enumerate(labels):
+        # a numpy integer is a label, 2.0 is not
+        lab = index(label) if hasattr(label, "__index__") else 0
+        if lab == 0 or abs(lab) > p:
+            raise InvalidLabelingError("label %r out of range at vertex %d" % (label, v))
         k = -lab - 1 if lab < 0 else p + lab - 1
         if order[k] >= 0:
             raise InvalidLabelingError("label %d used twice" % lab)

@@ -32,7 +32,7 @@ from gemkit import (
     verify_covering,
 )
 import gemkit.graphs as graphs_mod
-from gemkit.census import CensusEntry, enumerate_gems
+from gemkit.census import enumerate_gems
 from gemkit.errors import (
     BadLengthError,
     InvalidLabelingError,
@@ -339,11 +339,12 @@ def naive_census(order):
 # The former enumerate_gems, kept as an oracle: it walks row-major code
 # entries with used-label flags and rebuilds each leaf's maps from its
 # blocks, and states the double-edge rule as label arithmetic.
-def reference_enumerate_gems(order: int) -> Iterator[CensusEntry]:
-    """Yield one entry per color-isomorphism class of the given order.
+def reference_enumerate_gems(order: int) -> Iterator[str]:
+    """Yield the canonical code of each color-isomorphism class of the
+    given order.
 
-    The census is of connected bipartite graphs; entries appear in
-    search order (sort by canonical code for the file format).
+    The census is of connected bipartite graphs; codes appear in search
+    order (sort them for the file format).
     """
     if order < 2 or order % 2:
         raise ValueError("order must be a positive even integer")
@@ -351,14 +352,13 @@ def reference_enumerate_gems(order: int) -> Iterator[CensusEntry]:
     entries = [0] * (3 * p)
     used = [[False] * (p + 2) for _ in range(3)]
 
-    def extend(t: int, maxseen: int) -> Iterator[CensusEntry]:
+    def extend(t: int, maxseen: int) -> Iterator[str]:
         if t == 3 * p:
             blocks = [entries[c::3] for c in range(3)]
             g = ColoredGraph._trusted(_block_maps(blocks))
             cand = blocks[0] + blocks[1] + blocks[2]
             if not beats_entries(g, cand):
-                code = _serialize_entries(cand)
-                yield CensusEntry(code, order)
+                yield _serialize_entries(cand)
             return
         i, c = divmod(t, 3)
         if c == 0 and i and maxseen < i + 1:
@@ -619,14 +619,14 @@ def table1_census_clashes(order):
     rows = table1_signatures()
     keys = {key for _, key, _ in rows}
     colliding, same = 0, []
-    for entry in enumerate_gems(order):
-        g = parse_code(entry.canonical)
+    for code in enumerate_gems(order):
+        g = parse_code(code)
         key = manifold_key(g)
         if key not in keys:
             continue
         colliding += 1
         signature = cover_signature(g)
-        same += [(entry.canonical, name) for name, k, s in rows if (k, s) == (key, signature)]
+        same += [(code, name) for name, k, s in rows if (k, s) == (key, signature)]
     return colliding, same
 
 

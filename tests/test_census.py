@@ -25,7 +25,7 @@ from gemkit import (
     parse_code,
     verify_table1,
 )
-from gemkit.census import ENUMERATION_CAP, CensusEntry, write_census
+from gemkit.census import ENUMERATION_CAP, write_census
 from gemkit.data import Table1Row
 from gemkit.graphs import beats_entries
 from helpers import (
@@ -42,7 +42,7 @@ from helpers import (
 
 @pytest.fixture(scope="module")
 def census_leaves():
-    """``run(order)`` gives the census entries of one order and every
+    """``run(order)`` gives the census codes of one order and every
     ``(graph, ceiling)`` leaf the generator handed to ``beats_entries``;
     ``run(order, reference=True)`` gives the same for the former generator."""
     runs = {}
@@ -60,8 +60,8 @@ def census_leaves():
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(module, "beats_entries", spy)
-                entries = list(generate(order))
-            runs[order, reference] = entries, leaves
+                codes = list(generate(order))
+            runs[order, reference] = codes, leaves
         return runs[order, reference]
 
     return run
@@ -69,16 +69,16 @@ def census_leaves():
 
 class TestEnumerate:
     def test_order_two(self):
-        assert [e.canonical for e in enumerate_gems(2)] == ["AAA"]
+        assert list(enumerate_gems(2)) == ["AAA"]
 
     def test_order_four_frozen(self):
-        assert sorted(e.canonical for e in enumerate_gems(4)) == [
+        assert sorted(enumerate_gems(4)) == [
             "ABABBA",
             "ABBABA",
         ]
 
     def test_order_six_frozen(self):
-        assert sorted(e.canonical for e in enumerate_gems(6)) == [
+        assert sorted(enumerate_gems(6)) == [
             "ABCABCBCA",
             "ABCACBBAC",
             "ABCACBBCA",
@@ -93,16 +93,16 @@ class TestEnumerate:
 
     def test_entries_are_connected_bipartite_and_self_canonical(self):
         for order in (2, 4, 6):
-            for e in enumerate_gems(order):
-                assert e.order == order
-                g = parse_code(e.canonical)
+            for code in enumerate_gems(order):
+                assert isinstance(code, str)
+                g = parse_code(code)
                 assert g.order == order
                 assert is_connected(g) and is_bipartite(g)
-                assert canonical_code(g) == e.canonical
+                assert canonical_code(g) == code
 
     def test_matches_naive_bucketing(self):
         for order in (2, 4):
-            assert {e.canonical for e in enumerate_gems(order)} == naive_census(
+            assert set(enumerate_gems(order)) == naive_census(
                 order
             )
 
@@ -129,10 +129,10 @@ class TestEnumerate:
         # each class leaves the former generator one leaf per automorphism
         # orbit of the starts it keeps, so a dropped or duplicated class
         # breaks the sum
-        entries, leaves = census_leaves(order, reference=True)
+        codes, leaves = census_leaves(order, reference=True)
         total = Fraction(0)
-        for e in entries:
-            g = parse_code(e.canonical)
+        for code in codes:
+            g = parse_code(code)
             total += Fraction(census_start_count(g), automorphism_count(g))
         assert total == len(leaves) == leaf_count
 
@@ -149,7 +149,7 @@ class TestEnumerate:
         # a leaf's own traversal (identity, start 0) reproduces its code, the
         # ceiling, so it never wins: a beaten leaf wins before reaching it,
         # and a kept leaf runs it last of all its tries
-        entries, leaves = census_leaves(order)
+        codes, leaves = census_leaves(order)
         kept = 0
         with kernel_tries() as calls:
             for g, ceiling in leaves:
@@ -162,15 +162,15 @@ class TestEnumerate:
                 ]
                 assert own == ([] if beaten else [len(taken) - 1]), ceiling
                 kept += not beaten
-        assert len(calls) == len(leaves) and kept == len(entries)
+        assert len(calls) == len(leaves) and kept == len(codes)
         assert sum(map(len, calls)) == try_count
 
     @pytest.mark.parametrize("order", [2, 4, 6, 8, 10])
     def test_leaves_and_classes_match_former_generator(self, census_leaves, order):
         # the in-place search hands the kernel the former search's leaves in
         # the same order, less some that the kernel beats, and yields the
-        # former entries in the same order
-        entries, leaves = census_leaves(order)
+        # former codes in the same order
+        codes, leaves = census_leaves(order)
         want, want_leaves = census_leaves(order, reference=True)
         kept = iter([(g.inv, ceiling) for g, ceiling in leaves] + [None])
         leaf = next(kept)
@@ -180,7 +180,7 @@ class TestEnumerate:
             else:
                 assert beats_entries(g, ceiling), ceiling
         assert leaf is None
-        assert entries == want
+        assert codes == want
 
     @pytest.mark.parametrize("order, expected", [(8, 2), (10, 3)])
     def test_classes_without_double_edge_match_brute_force(
@@ -202,47 +202,34 @@ class TestEnumerate:
                         g = ColoredGraph.from_blocks((b1, b2, b3))
                         if is_connected(g):
                             seen.add(canonical_code(g))
-        entries, _ = census_leaves(order)
-        assert seen == {e.canonical for e in entries if e.canonical.startswith("B")}
+        codes, _ = census_leaves(order)
+        assert seen == {code for code in codes if code.startswith("B")}
         assert len(seen) == expected
 
 
 class TestBuildCensus:
     def test_sorted_and_classified(self):
-        entries = build_census(6)
-        codes = [e.canonical for e in entries]
+        codes = build_census(6)
         assert codes == sorted(codes)
-        for e in entries:
-            assert e.invariants is not None
-            assert e.invariants["code"] == e.canonical
-            assert e.invariants["order"] == 6
-
-    def test_unclassified_is_the_same_census_without_invariants(self):
-        bare = build_census(6, classified=False)
-        assert all(e.invariants is None for e in bare)
-        assert [classify(e) for e in bare] == build_census(6)
-        with pytest.raises(CapExceededError):
-            build_census(ENUMERATION_CAP + 2, classified=False)
-
-    def test_enumeration_leaves_entries_unclassified(self):
-        entries = list(enumerate_gems(4))
-        assert entries and all(e.invariants is None for e in entries)
+        for code in codes:
+            report = classify(code)
+            assert report["code"] == code
+            assert report["order"] == 6
 
     def test_classify_single_entry(self):
-        e = classify(CensusEntry("AAA", 2))
-        assert e.invariants["closed"] is True
+        assert classify("AAA")["closed"] is True
 
     def test_order_six_invariant_signatures(self):
         # five closed entries with trivial homology, one solid-torus-like
         # entry and one with two torus boundary components
         signatures = sorted(
             (
-                e.invariants["closed"],
-                len(e.invariants["boundary"]),
-                e.invariants["h1"]["rank"],
-                tuple(e.invariants["h1"]["torsion"]),
+                r["closed"],
+                len(r["boundary"]),
+                r["h1"]["rank"],
+                tuple(r["h1"]["torsion"]),
             )
-            for e in build_census(6)
+            for r in map(classify, build_census(6))
         )
         assert signatures == [
             (False, 1, 1, ()),
@@ -261,18 +248,18 @@ class TestBuildCensus:
 
 class TestWriteCensus:
     def test_format(self):
-        entries = build_census(4)
+        codes = build_census(4)
         buf = io.StringIO()
-        write_census(buf, entries, 4)
+        write_census(buf, codes, 4)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "#gemkit-census v1"
         assert lines[1] == "#order=4"
         assert lines[2] == "#opts=bipartite,connected"
-        assert len(lines) == 3 + len(entries)
-        for line, entry in zip(lines[3:], entries):
+        assert len(lines) == 3 + len(codes)
+        for line, want in zip(lines[3:], codes):
             code, payload = line.split("\t", 1)
-            assert code == entry.canonical
-            assert json.loads(payload) == entry.invariants
+            assert code == want
+            assert json.loads(payload) == classify(want)
 
 
 class TestMinimalityProbe:
@@ -294,8 +281,8 @@ class TestMinimalityProbe:
     def test_no_non_torus_boundary_up_to_order_eight(self):
         assert minimality_probe(8, all_torus=False) is None
         for order in range(2, 9, 2):
-            for entry in enumerate_gems(order):
-                assert boundary_profile(parse_code(entry.canonical)).all_torus
+            for code in enumerate_gems(order):
+                assert boundary_profile(parse_code(code)).all_torus
 
 
 class TestVerifyTable1:

@@ -409,16 +409,24 @@ class TestCensus:
 
         real, calls = census_mod.classify, []
 
-        def counted(entry):
-            calls.append(entry.canonical)
-            return real(entry)
+        def counted(code):
+            calls.append(code)
+            return real(code)
 
         monkeypatch.setattr(census_mod, "classify", counted)
         rc, out, _ = run(capsys, ["census", "--order", "8", "--max-results", "3"])
         assert rc == 0
         written = [ln.split("\t")[0] for ln in out.splitlines()[3:]]
         assert calls == written and len(calls) == 3
-        assert written == sorted(e.canonical for e in census_mod.enumerate_gems(8))[:3]
+        assert written == sorted(census_mod.enumerate_gems(8))[:3]
+
+    def test_max_results_prints_the_full_census_head(self, capsys):
+        # the header and the first N lines of the full output, byte for byte
+        rc, full, _ = run(capsys, ["census", "--order", "8"])
+        assert rc == 0
+        rc, out, _ = run(capsys, ["census", "--order", "8", "--max-results", "3"])
+        assert rc == 0
+        assert out == "".join(full.splitlines(keepends=True)[: 3 + 3])
 
     def test_negative_max_results_is_usage_error(self, capsys):
         rc, out, err = run(capsys, ["census", "--order", "6", "--max-results", "-1"])

@@ -184,6 +184,19 @@ class TestEmit:
     def test_identity_labeling_layout(self):
         assert identity_labeling(4) == (-1, -2, 1, 2)
 
+    @pytest.mark.parametrize("order", [3, 0, -2])
+    def test_identity_labeling_needs_a_positive_even_order(self, order):
+        with pytest.raises(ValueError, match="positive even integer"):
+            identity_labeling(order)
+
+    def test_numpy_integer_labels(self):
+        # labels are read through __index__, as relabeled reads its permutation
+        numpy = pytest.importorskip("numpy")
+        for code in ALL_BUNDLED_CODES:
+            g = parse_code(code)
+            labels = [numpy.int64(x) for x in identity_labeling(g.order)]
+            assert emit_code(g, labels) == code
+
     def test_relabeled_emission_is_isomorphic_not_equal(self):
         code = ALL_BUNDLED_CODES[-1]
         g = parse_code(code)

@@ -65,4 +65,4 @@ def test_bounds_meet(base, n):
 
 @pytest.mark.parametrize("order", [2, 4, 6, 8, 10])
 def test_no_smaller_six_regular_class(order):
-    assert not any(is_six_regular(parse_code(e.canonical)) for e in enumerate_gems(order))
+    assert not any(is_six_regular(parse_code(code)) for code in enumerate_gems(order))

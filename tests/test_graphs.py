@@ -347,10 +347,10 @@ class TestIsomorphismAgainstFormerSearch:
         return verdicts
 
     def test_census_classes(self):
-        small = [parse_code(e.canonical) for n in (2, 4, 6) for e in enumerate_gems(n)]
+        small = [parse_code(code) for n in (2, 4, 6) for code in enumerate_gems(n)]
         assert self.agree(small) == {False, True}
         rng = random.Random(61)
-        sample = rng.sample([parse_code(e.canonical) for e in enumerate_gems(8)], 20)
+        sample = rng.sample([parse_code(code) for code in enumerate_gems(8)], 20)
         sample += [relabeled(g, random_vertex_permutation(rng, 8)) for g in sample[:5]]
         assert self.agree(sample) == {False, True}
 
@@ -444,7 +444,7 @@ class TestCanonicalCode:
     def test_equality_agrees_with_isomorphism(self):
         from gemkit import enumerate_gems
 
-        entries = [parse_code(e.canonical) for e in enumerate_gems(6)]
+        entries = [parse_code(code) for code in enumerate_gems(6)]
         for i, g in enumerate(entries):
             for h in entries[i + 1 :]:
                 assert not are_isomorphic(g, h)

@@ -368,7 +368,7 @@ def census_graphs():
 
     def run(order):
         if order not in runs:
-            runs[order] = [parse_code(e.canonical) for e in enumerate_gems(order)]
+            runs[order] = [parse_code(code) for code in enumerate_gems(order)]
         return runs[order]
 
     return run

@@ -379,7 +379,7 @@ class TestFirstHomology:
 
         graphs = [parse_code(c) for c in ALL_BUNDLED_CODES[:8]]
         graphs += [parse_code(ORDER8_Z2_CODE)]
-        graphs += [parse_code(e.canonical) for e in enumerate_gems(6)]
+        graphs += [parse_code(code) for code in enumerate_gems(6)]
         for g in graphs:
             assert first_homology(g) == homology_from_full_complex(g)
 
@@ -410,7 +410,7 @@ class TestDipoleMoves:
         from gemkit import enumerate_gems
 
         rng = random.Random(211)
-        codes = TABLE_CODES + tuple(e.canonical for e in enumerate_gems(8))
+        codes = TABLE_CODES + tuple(enumerate_gems(8))
         for code in codes:
             g = parse_code(code)
             want = manifold_invariants(g)
@@ -427,8 +427,8 @@ class TestEulerCharacteristic:
 
         assert euler_characteristic(parse_code("AAA")) == 0
         assert euler_characteristic(parse_code(ORDER8_Z2_CODE)) == 0
-        for e in enumerate_gems(6):
-            g = parse_code(e.canonical)
+        for code in enumerate_gems(6):
+            g = parse_code(code)
             if is_closed(g):
                 assert euler_characteristic(g) == 0
 
