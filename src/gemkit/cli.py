@@ -139,8 +139,6 @@ def _cmd_cover(args) -> int:
 
 def _cmd_census(args) -> int:
     cap = census_mod.ENUMERATION_CAP
-    if args.max_results is not None and args.max_results < 0:
-        raise ValueError("--max-results must not be negative")
     if args.order > cap:
         raise ValueError("order %d exceeds the enumeration cap %d" % (args.order, cap))
     if args.order == cap and not args.allow_large:
@@ -150,8 +148,8 @@ def _cmd_census(args) -> int:
     # open --out before the search, so a bad path fails at once
     out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     with out as fh:
-        codes = census_mod.build_census(args.order)[: args.max_results]
-        census_mod.write_census(fh, codes, args.order)  # classifies as it writes
+        # write_census classifies each code as it writes its line
+        census_mod.write_census(fh, census_mod.build_census(args.order), args.order)
     return 0
 
 
@@ -202,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="enumerate one order up to isomorphism")
     p.add_argument("--order", required=True, type=int, help="graph order (even)")
-    p.add_argument("--max-results", type=int, default=None)
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
     p.add_argument(
         "--allow-large",

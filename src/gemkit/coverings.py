@@ -175,17 +175,26 @@ def holonomy(va: VoltageAssignment, cycle: BicoloredCycle) -> int:
 
     Starting vertex and direction change it only by sign, so vanishing is
     well defined; the derived cycles over this one have length multiplied
-    by the order of the holonomy in Z_n.
+    by the order of the holonomy in Z_n.  A walk that is not one of the
+    base's bicolored cycles, stepping along ``colors[0]`` first, is a
+    ``ValueError``.
     """
     colors = cycle.colors
     if len(colors) != 2 or colors[0] == colors[1] or not set(colors) <= set(COLORS):
         raise ValueError("cycle colors %r are not two distinct colors" % (colors,))
+    vs = tuple(cycle.vertices)
+    for u in vs:
+        if not 0 <= u < va.base.order:
+            raise ValueError("cycle vertex %d outside the base graph" % u)
+    if not vs or len(set(vs)) != len(vs):
+        raise ValueError("cycle vertices %r are not a simple closed walk" % (vs,))
     c1, c2 = colors
     col = c1
     total = 0
-    for u in cycle.vertices:
-        if not 0 <= u < va.base.order:
-            raise ValueError("cycle vertex %d outside the base graph" % u)
+    # each step follows the base's edge of its color, and the last one closes
+    for u, w in zip(vs, vs[1:] + vs[:1]):
+        if va.base.inv[col][u] != w:
+            raise ValueError("cycle step at vertex %d is no color-%d edge" % (u, col))
         total += va.volt[u][col]
         col = c1 + c2 - col
     return total % va.n

@@ -175,10 +175,6 @@ class BicoloredCycle:
     colors: tuple[int, int]
     vertices: tuple[int, ...]
 
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
-
     def __len__(self) -> int:
         return len(self.vertices)
 
@@ -380,17 +376,11 @@ def _decode_entries(text: str) -> list[int]:
     return entries
 
 
-def _serialize_entries(entries: Sequence[int], numeric: Optional[bool] = None) -> str:
-    """Letters, or comma-separated integers when ``numeric`` (by default when
-    there are more than ``MAX_LETTER_PAIRS`` vertex pairs, which letters
-    cannot address: forcing letters there is a ``BadLengthError``)."""
-    letters = len(entries) <= 3 * MAX_LETTER_PAIRS
-    if numeric or (numeric is None and not letters):
+def _serialize_entries(entries: Sequence[int]) -> str:
+    """Letters, or comma-separated integers above ``MAX_LETTER_PAIRS`` vertex
+    pairs, which letters cannot address."""
+    if len(entries) > 3 * MAX_LETTER_PAIRS:
         return ",".join(str(j) for j in entries)
-    if not letters:
-        raise BadLengthError(
-            "letter codes address at most %d vertex pairs" % MAX_LETTER_PAIRS
-        )
     return "".join(chr(ord("A") + j - 1) for j in entries)
 
 
@@ -433,17 +423,13 @@ def identity_labeling(order: int) -> tuple[int, ...]:
     return tuple(-(i + 1) for i in range(p)) + tuple(i + 1 for i in range(p))
 
 
-def emit_code(
-    g: ColoredGraph,
-    labels: Sequence[int],
-    numeric: Optional[bool] = None,
-) -> str:
+def emit_code(g: ColoredGraph, labels: Sequence[int]) -> str:
     """Encode a bipartite graph under a vertex labeling by ``±1..±p``.
 
     Every edge must join a negative and a positive label, and color 0 must
     join ``-i`` to ``+i``, so that the code parses back to the relabeled
-    graph.  By default letters are used when they suffice (p <= 26) and the
-    comma-separated numeric form otherwise; pass ``numeric`` to force one.
+    graph.  Letters are used when they suffice (p <= 26) and the
+    comma-separated numeric form otherwise.
     """
     if bipartition(g) is None:
         raise NotBipartiteError("only bipartite graphs have code strings")
@@ -468,7 +454,7 @@ def emit_code(
         raise InvalidLabelingError(
             "an edge joins two labels of one sign, or color 0 does not join -i to +i"
         )
-    return _serialize_entries([j for block in blocks for j in block], numeric)
+    return _serialize_entries([j for block in blocks for j in block])
 
 
 # ---------------------------------------------------------------------------

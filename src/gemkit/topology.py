@@ -11,6 +11,7 @@ those links are exactly the boundary components.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Optional, Sequence
 
 from gemkit.errors import NotConnectedError
@@ -36,6 +37,7 @@ class SurfaceType:
     euler: int
 
     def __post_init__(self):
+        object.__setattr__(self, "euler", index(self.euler))
         if self.euler > 2:
             raise ValueError("no closed surface has Euler characteristic > 2")
         if self.orientable and self.euler % 2:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
 from math import gcd
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from gemkit import (
     COLOR_PAIRS,
@@ -34,13 +34,11 @@ from gemkit import (
 import gemkit.graphs as graphs_mod
 from gemkit.census import enumerate_gems
 from gemkit.errors import (
-    BadLengthError,
     InvalidLabelingError,
     NotBipartiteError,
     NotConnectedError,
 )
 from gemkit.graphs import (
-    MAX_LETTER_PAIRS,
     _block_maps,
     _serialize_entries,
     beats_entries,
@@ -633,17 +631,13 @@ def table1_census_clashes(order):
 # The former emit_code, kept as an oracle: it states the label rules one by
 # one instead of checking that the code parses back.  It rejects labelings
 # of disconnected graphs whose components swap the two classes.
-def reference_emit_code(
-    g: ColoredGraph,
-    labels: Sequence[int],
-    numeric: Optional[bool] = None,
-) -> str:
+def reference_emit_code(g: ColoredGraph, labels: Sequence[int]) -> str:
     """Encode a bipartite graph under a vertex labeling by ``±1..±p``.
 
     The labeling must put all negative labels on one bipartition class and
     must give the color-0 partner of the vertex labeled ``-i`` the label
-    ``+i``.  By default letters are used when they suffice (p <= 26) and the
-    comma-separated numeric form otherwise; pass ``numeric`` to force one.
+    ``+i``.  Letters are used when they suffice (p <= 26) and the
+    comma-separated numeric form otherwise.
     """
     side = bipartition(g)
     if side is None:
@@ -684,8 +678,4 @@ def reference_emit_code(
         m = g.inv[c]
         for i in range(1, p + 1):
             entries.append(pos_label[m[neg_vertex[i]]])
-    if numeric is not None and not numeric and p > MAX_LETTER_PAIRS:
-        raise BadLengthError(
-            "letter codes address at most %d vertex pairs" % MAX_LETTER_PAIRS
-        )
-    return _serialize_entries(entries, numeric)
+    return _serialize_entries(entries)

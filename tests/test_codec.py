@@ -211,11 +211,6 @@ class TestEmit:
         assert are_isomorphic(g, h)
         assert canonical_code(g) == canonical_code(h)
 
-    def test_forced_numeric_form(self):
-        text = emit_code(parse_code("AAA"), identity_labeling(2), numeric=True)
-        assert text == "1,1,1"
-        assert parse_code(text) == parse_code("AAA")
-
     def test_numeric_round_trip_large_order(self):
         # above 26 vertex pairs only the numeric form exists
         from gemkit import derived_graph, find_admissible_cyclic_coverings
@@ -228,20 +223,6 @@ class TestEmit:
         assert "," in code
         again = parse_code(code)
         assert canonical_code(again) == code
-
-    def test_letter_form_refused_above_limit(self):
-        from gemkit import VoltageAssignment, derived_graph
-
-        base = parse_code("AAA")
-        big, _ = derived_graph(VoltageAssignment(base, 27, [[0] * 4] * 2))
-        # disconnected, but emission only needs bipartiteness
-        labels = list(identity_labeling(big.order))
-        with pytest.raises(BadLengthError):
-            emit_code(big, labels, numeric=False)
-        # a bad labeling is reported before the length
-        labels[0] = labels[1]
-        with pytest.raises(InvalidLabelingError):
-            emit_code(big, labels, numeric=False)
 
 
 class TestEmitErrors:
@@ -360,10 +341,10 @@ def broken_labelings(rng, labels):
     return out
 
 
-def emit_outcome(emit, g, labels, numeric):
+def emit_outcome(emit, g, labels):
     """The code, or the class of the error raised."""
     try:
-        return emit(g, labels, numeric)
+        return emit(g, labels)
     except GemError as exc:
         return type(exc)
 
@@ -381,9 +362,8 @@ class TestEmitOracle:
             connected = is_connected(g)
             valid = random_valid_labeling(rng, g)
             for labels in [valid] + broken_labelings(rng, valid):
-                numeric = rng.choice((None, True, False))
-                ref = emit_outcome(reference_emit_code, g, labels, numeric)
-                new = emit_outcome(emit_code, g, labels, numeric)
+                ref = emit_outcome(reference_emit_code, g, labels)
+                new = emit_outcome(emit_code, g, labels)
                 if labels is valid:
                     assert isinstance(new, str)
                 if isinstance(new, str):

@@ -265,8 +265,32 @@ class TestHolonomy:
 
         base = parse_code("AAA")
         va = VoltageAssignment(base, 2, [[0] * 4] * 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside the base graph"):
             holonomy(va, BicoloredCycle((0, 1), (0, 7)))
+
+    def test_walk_must_be_a_bicolored_cycle_of_the_base(self):
+        from gemkit.graphs import BicoloredCycle
+
+        base = parse_code("DABCFEFEABDCCDEFAB")
+        va = find_admissible_cyclic_coverings(base, 3, limit=1)[0]
+        assert base.inv[0][0] == 6
+        (cyc,) = [c for c in bicolored_cycles(base, (0, 1)) if 0 in c.vertices]
+        vs = cyc.vertices
+        assert len(vs) >= 4
+        walks = [
+            (0, 5),  # vertex 0's color-0 partner is 6
+            vs[:1] + vs[:0:-1],  # the cycle backwards: first step along color 1
+            vs[:-2],  # never closes
+            vs + vs,  # the cycle twice
+            (),
+        ]
+        for walk in walks:
+            with pytest.raises(ValueError):
+                holonomy(va, BicoloredCycle((0, 1), walk))
+        # the same cycle under its other color order starts along color 1
+        assert holonomy(va, BicoloredCycle((1, 0), vs[:1] + vs[:0:-1])) == (
+            -holonomy(va, cyc) % 3
+        )
 
     @pytest.mark.parametrize("colors", [(0, 5), (1, 1), (-1, 0), (0, 1, 2)])
     def test_color_pair_checked(self, colors):

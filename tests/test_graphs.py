@@ -115,7 +115,7 @@ class TestBicoloredCycles:
         g = parse_code("AAA")
         for pair in COLOR_PAIRS:
             (cyc,) = bicolored_cycles(g, pair)
-            assert cyc.length == 2 and len(cyc) == 2
+            assert len(cyc) == 2
 
     def test_partition_and_alternation(self):
         rng = random.Random(7)
@@ -128,11 +128,11 @@ class TestBicoloredCycles:
                 assert sorted(seen) == list(range(g.order))  # partition
                 c1, c2 = pair
                 for cyc in cycles:
-                    assert cyc.length % 2 == 0
+                    assert len(cyc) % 2 == 0
                     assert cyc.colors == (c1, c2)
                     # replay the alternating walk and compare
                     walk, v, col = [], cyc.vertices[0], c1
-                    for _ in range(cyc.length):
+                    for _ in range(len(cyc)):
                         walk.append(v)
                         v = g.inv[col][v]
                         col = c1 + c2 - col

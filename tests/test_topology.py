@@ -75,6 +75,12 @@ class TestSurfaceType:
         with pytest.raises(ValueError):
             SurfaceType(True, 1)  # orientable needs even characteristic
 
+    def test_euler_characteristic_is_an_integer(self):
+        # a float would print as "euler": -2.0 and a genus of 2.0
+        for euler in (-2.0, 0.0, "0", None):
+            with pytest.raises(TypeError):
+                SurfaceType(True, euler)
+
     def test_as_dict(self):
         assert SurfaceType(True, 0).as_dict() == {
             "orientable": True,
