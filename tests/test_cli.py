@@ -415,6 +415,19 @@ class TestCensus:
         assert calls == written and len(calls) == 47
         assert written == sorted(census_mod.enumerate_gems(8))
 
+    def test_max_results_is_gone(self, capsys):
+        # the census is written whole; its head is `gemkit census ... | head`
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--help"])
+        assert exc.value.code == 0
+        assert "max-results" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--order", "6", "--max-results", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --max-results 1" in captured.err
+
     def test_large_order_needs_opt_in(self, capsys):
         rc, out, err = run(capsys, ["census", "--order", "12"])
         assert rc == 2 and out == "" and "--allow-large" in err

@@ -1,5 +1,6 @@
 """Code-string codec: parsing, emission, labelings, and the error taxonomy."""
 
+import inspect
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from gemkit import (
     parse_code,
     relabeled,
 )
+from gemkit.graphs import MAX_LETTER_PAIRS, _serialize_entries
 from helpers import (
     ALL_BUNDLED_CODES,
     NON_BIPARTITE_INVS,
@@ -210,6 +212,46 @@ class TestEmit:
         h = parse_code(other)
         assert are_isomorphic(g, h)
         assert canonical_code(g) == canonical_code(h)
+
+    def test_small_numeric_code_emits_letters(self):
+        # parse_code reads the numeric form at any size; emission writes
+        # letters whenever they suffice
+        g = parse_code("1,1,1")
+        assert g == parse_code("AAA")
+        assert emit_code(g, identity_labeling(2)) == "AAA"
+
+    @pytest.mark.parametrize("p", [MAX_LETTER_PAIRS, MAX_LETTER_PAIRS + 1])
+    def test_letter_limit(self, p):
+        # letters up to MAX_LETTER_PAIRS vertex pairs, numbers above
+        g = ColoredGraph.from_blocks([list(range(1, p + 1))] * 3)
+        code = emit_code(g, identity_labeling(g.order))
+        entries = list(range(1, p + 1)) * 3
+        if p <= MAX_LETTER_PAIRS:
+            assert code == "".join(chr(ord("A") + j - 1) for j in entries)
+        else:
+            assert code == ",".join(map(str, entries))
+        assert parse_code(code) == g
+
+    def test_emission_takes_only_a_graph_and_a_labeling(self):
+        # no switch forces one form
+        assert list(inspect.signature(emit_code).parameters) == ["g", "labels"]
+        assert list(inspect.signature(_serialize_entries).parameters) == ["entries"]
+
+    def test_numeric_emission_of_a_disconnected_graph(self):
+        from gemkit import VoltageAssignment, derived_graph
+
+        base = parse_code("AAA")
+        big, _ = derived_graph(VoltageAssignment(base, 27, [[0] * 4] * 2))
+        assert big.order == 54 and not is_connected(big)
+        # emission only needs bipartiteness
+        labels = list(identity_labeling(big.order))
+        code = emit_code(big, labels)
+        assert "," in code
+        assert parse_code(code) == big
+        # a bad labeling is still reported at this size
+        labels[0] = labels[1]
+        with pytest.raises(InvalidLabelingError):
+            emit_code(big, labels)
 
     def test_numeric_round_trip_large_order(self):
         # above 26 vertex pairs only the numeric form exists
