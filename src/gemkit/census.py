@@ -44,9 +44,9 @@ from 13,157 to 7,754 at order 10 and from 489,407 to 242,769 at order 12.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional
 
+from gemkit._value import Value
 from gemkit.data import CENSUS_FORMAT, TABLE1, Table1Row
 from gemkit.errors import CapExceededError, GemError
 from gemkit.graphs import (
@@ -204,20 +204,28 @@ def minimality_probe(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RowCheck:
+class RowCheck(Value):
     """Outcome of the checks for one bundled table row."""
 
-    name: str
-    ok: bool
-    problems: tuple[str, ...]
-    report: Optional[dict]
+    __slots__ = ("name", "ok", "problems", "report")
+
+    def __init__(
+        self, name: str, ok: bool, problems: tuple[str, ...], report: Optional[dict]
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "problems", problems)
+        object.__setattr__(self, "report", report)
 
 
-@dataclass(frozen=True)
-class Table1Report:
-    rows: tuple[RowCheck, ...]
-    distinct_canonical: bool
+class Table1Report(Value):
+    """Every row's checks, and whether the canonical codes are distinct."""
+
+    __slots__ = ("rows", "distinct_canonical")
+
+    def __init__(self, rows: tuple[RowCheck, ...], distinct_canonical: bool):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "distinct_canonical", distinct_canonical)
 
     @property
     def ok(self) -> bool:

@@ -12,12 +12,12 @@ face-to-face are unbranched on the interior and on all vertex links.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, product
 from math import gcd, prod
 from operator import getitem, index
 from typing import Iterator, Optional, Sequence
 
+from gemkit._value import Value
 from gemkit.errors import (
     NoAdmissibleCoveringError,
     NonUniformFiberError,
@@ -179,10 +179,10 @@ def holonomy(va: VoltageAssignment, cycle: BicoloredCycle) -> int:
     base's bicolored cycles, stepping along ``colors[0]`` first, is a
     ``ValueError``.
     """
-    colors = cycle.colors
+    colors = tuple(map(index, cycle.colors))
     if len(colors) != 2 or colors[0] == colors[1] or not set(colors) <= set(COLORS):
         raise ValueError("cycle colors %r are not two distinct colors" % (colors,))
-    vs = tuple(cycle.vertices)
+    vs = tuple(map(index, cycle.vertices))
     for u in vs:
         if not 0 <= u < va.base.order:
             raise ValueError("cycle vertex %d outside the base graph" % u)
@@ -325,12 +325,14 @@ def _voltage_tables(base: ColoredGraph, n: int) -> Iterator[VoltageAssignment]:
             yield VoltageAssignment._trusted(base, n, tuple(map(getitem, head_sums, ids)))
 
 
-@dataclass(frozen=True)
-class ComplexityBounds:
+class ComplexityBounds(Value):
     """Two-sided bounds on the graph complexity of a derived manifold."""
 
-    lower: int
-    upper: int
+    __slots__ = ("lower", "upper")
+
+    def __init__(self, lower: int, upper: int):
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
 
 def complexity_bounds_report(

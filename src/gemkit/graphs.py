@@ -18,11 +18,11 @@ as comma-separated integers.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import permutations
 from operator import index
 from typing import Iterable, Optional, Sequence
 
+from gemkit._value import Value
 from gemkit.errors import (
     BadCharError,
     BadLengthError,
@@ -164,32 +164,36 @@ def _block_maps(blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(maps)
 
 
-@dataclass(frozen=True)
-class BicoloredCycle:
+class BicoloredCycle(Value):
     """A connected component of the subgraph spanned by two colors.
 
     ``vertices`` lists the cycle in traversal order starting at its smallest
     vertex, first step along the lower color.  The length is always even.
     """
 
-    colors: tuple[int, int]
-    vertices: tuple[int, ...]
+    __slots__ = ("colors", "vertices")
+
+    def __init__(self, colors: tuple[int, int], vertices: tuple[int, ...]):
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "vertices", vertices)
 
     def __len__(self) -> int:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(Value):
     """A connected component of the subgraph missing one color.
 
     Residues of a graph encoding a 3-dimensional complex are 3-colored
     graphs encoding the links of its vertices.
     """
 
-    graph: ColoredGraph
-    missing_color: int
-    vertices: tuple[int, ...]
+    __slots__ = ("graph", "missing_color", "vertices")
+
+    def __init__(self, graph: ColoredGraph, missing_color: int, vertices: tuple[int, ...]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "missing_color", missing_color)
+        object.__setattr__(self, "vertices", vertices)
 
     @property
     def colors(self) -> tuple[int, int, int]:
@@ -648,6 +652,7 @@ def relabeled(g: ColoredGraph, perm: Sequence[int]) -> ColoredGraph:
 
 def recolored(g: ColoredGraph, sigma: Sequence[int]) -> ColoredGraph:
     """The same graph with new color ``c`` drawn from old color ``sigma[c]``."""
+    sigma = tuple(map(index, sigma))
     if sorted(sigma) != list(COLORS):
         raise ValueError("sigma must be a permutation of %r" % (COLORS,))
     return ColoredGraph._trusted(tuple(g.inv[sigma[c]] for c in COLORS))

@@ -20,34 +20,35 @@ degree, so ``V`` fixes their order.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import index
 from typing import Sequence
 
+from gemkit._value import Value
 
-@dataclass(frozen=True)
-class HomologyGroup:
+
+class HomologyGroup(Value):
     """A finitely generated abelian group Z^rank + Z/d1 + ... + Z/dk.
 
     The torsion coefficients are the invariant factors: each is at least 2
     and divides the next.
     """
 
-    rank: int
-    torsion: tuple[int, ...] = field(default=())
+    __slots__ = ("rank", "torsion")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rank", index(self.rank))
-        if self.rank < 0:
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
+        rank = index(rank)
+        if rank < 0:
             raise ValueError("rank must be non-negative")
-        object.__setattr__(self, "torsion", tuple(index(d) for d in self.torsion))
-        if any(d < 2 for d in self.torsion):
+        torsion = tuple(index(d) for d in torsion)
+        if any(d < 2 for d in torsion):
             raise ValueError("torsion coefficients must be at least 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion coefficients must form a divisibility chain")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @property
     def trivial(self) -> bool:

@@ -10,10 +10,10 @@ those links are exactly the boundary components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 from typing import Optional, Sequence
 
+from gemkit._value import Value
 from gemkit.errors import NotConnectedError
 from gemkit.graphs import (
     COLOR_PAIRS,
@@ -29,19 +29,19 @@ from gemkit.graphs import (
 from gemkit.homology import HomologyGroup, group_from_relations
 
 
-@dataclass(frozen=True)
-class SurfaceType:
+class SurfaceType(Value):
     """A closed surface, classified by orientability and Euler characteristic."""
 
-    orientable: bool
-    euler: int
+    __slots__ = ("orientable", "euler")
 
-    def __post_init__(self):
-        object.__setattr__(self, "euler", index(self.euler))
-        if self.euler > 2:
+    def __init__(self, orientable: bool, euler: int):
+        euler = index(euler)
+        if euler > 2:
             raise ValueError("no closed surface has Euler characteristic > 2")
-        if self.orientable and self.euler % 2:
+        if orientable and euler % 2:
             raise ValueError("orientable closed surfaces have even Euler characteristic")
+        object.__setattr__(self, "orientable", orientable)
+        object.__setattr__(self, "euler", euler)
 
     @property
     def genus(self) -> int:
@@ -70,11 +70,13 @@ class SurfaceType:
         return {"orientable": self.orientable, "euler": self.euler, "genus": self.genus}
 
 
-@dataclass(frozen=True)
-class BoundaryProfile:
+class BoundaryProfile(Value):
     """The non-sphere vertex links, one per boundary component."""
 
-    components: tuple[SurfaceType, ...]
+    __slots__ = ("components",)
+
+    def __init__(self, components: tuple[SurfaceType, ...]):
+        object.__setattr__(self, "components", components)
 
     @property
     def closed(self) -> bool:

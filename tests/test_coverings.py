@@ -268,6 +268,17 @@ class TestHolonomy:
         with pytest.raises(ValueError, match="outside the base graph"):
             holonomy(va, BicoloredCycle((0, 1), (0, 7)))
 
+    def test_float_colors_and_vertices_refused(self):
+        # 0.0 passes the range and set checks, so only index() catches it
+        from gemkit.graphs import BicoloredCycle
+
+        base = parse_code("AAA")
+        va = VoltageAssignment(base, 2, [[0] * 4] * 2)
+        assert holonomy(va, BicoloredCycle((0, 1), (0, 1))) == 0
+        for cyc in (BicoloredCycle((0.0, 1), (0, 1)), BicoloredCycle((0, 1), (0.0, 1))):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                holonomy(va, cyc)
+
     def test_walk_must_be_a_bicolored_cycle_of_the_base(self):
         from gemkit.graphs import BicoloredCycle
 

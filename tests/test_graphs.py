@@ -270,6 +270,12 @@ class TestRelabelRecolor:
         with pytest.raises(ValueError):
             recolored(g, [0, 1, 2, 2])
 
+    def test_recolored_refuses_float_colors(self):
+        # 0.0 sorts like 0, so only index() at the check catches it
+        g = parse_code("AAA")
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            recolored(g, [0.0, 1, 2, 3])
+
 
 class TestFromBlocks:
     @pytest.mark.parametrize(
