@@ -44,7 +44,7 @@ from 13,157 to 7,754 at order 10 and from 489,407 to 242,769 at order 12.
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, Iterator, Optional
+from typing import IO, Callable, Iterable, Iterator, Optional
 
 from gemkit._value import Value
 from gemkit.data import CENSUS_FORMAT, TABLE1, Table1Row
@@ -58,7 +58,6 @@ from gemkit.graphs import (
     parse_code,
     _serialize_entries,
 )
-from gemkit.homology import HomologyGroup
 from gemkit.topology import boundary_profile, first_homology, invariant_report
 
 #: Largest order the exhaustive search is allowed to attempt.
@@ -146,12 +145,16 @@ def classify(code: str) -> dict:
     return invariant_report(parse_code(code), name=None, code=code)
 
 
-def build_census(order: int) -> list[str]:
-    """The canonical codes of one order's census, sorted."""
+def _check_cap(order: int) -> None:
     if order > ENUMERATION_CAP:
         raise CapExceededError(
             "order %d exceeds the enumeration cap %d" % (order, ENUMERATION_CAP)
         )
+
+
+def build_census(order: int) -> list[str]:
+    """The canonical codes of one order's census, sorted."""
+    _check_cap(order)
     return sorted(enumerate_gems(order))
 
 
@@ -167,34 +170,17 @@ def write_census(fh: IO[str], codes: Iterable[str], order: int) -> None:
 
 
 def minimality_probe(
-    max_order: int,
-    *,
-    closed: Optional[bool] = None,
-    h1: Optional[HomologyGroup] = None,
-    boundary_count: Optional[int] = None,
-    all_torus: Optional[bool] = None,
+    max_order: int, matches: Callable[[ColoredGraph], bool]
 ) -> Optional[int]:
-    """Smallest order whose census matches the given invariants, or None.
+    """Smallest order up to ``max_order`` with a census class whose graph
+    ``matches``, or None.
 
-    Scans exhaustive censuses of increasing order, so a hit is a certified
-    minimum over connected bipartite graphs.
+    Scans exhaustive censuses of increasing order and stops at the first
+    match, so a hit is a certified minimum over connected bipartite graphs.
     """
-    if max_order > ENUMERATION_CAP:
-        raise CapExceededError(
-            "max_order %d exceeds the enumeration cap %d" % (max_order, ENUMERATION_CAP)
-        )
+    _check_cap(max_order)
     for order in range(2, max_order + 1, 2):
-        for code in enumerate_gems(order):
-            g = parse_code(code)
-            profile = boundary_profile(g)
-            if closed is not None and profile.closed != closed:
-                continue
-            if boundary_count is not None and len(profile) != boundary_count:
-                continue
-            if all_torus is not None and profile.all_torus != all_torus:
-                continue
-            if h1 is not None and first_homology(g) != h1:
-                continue
+        if any(matches(parse_code(code)) for code in enumerate_gems(order)):
             return order
     return None
 
@@ -205,17 +191,17 @@ def minimality_probe(
 
 
 class RowCheck(Value):
-    """Outcome of the checks for one bundled table row."""
+    """The problems found in one bundled table row; it passes with none."""
 
-    __slots__ = ("name", "ok", "problems", "report")
+    __slots__ = ("name", "problems")
 
-    def __init__(
-        self, name: str, ok: bool, problems: tuple[str, ...], report: Optional[dict]
-    ):
+    def __init__(self, name: str, problems: tuple[str, ...]):
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "problems", problems)
-        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "problems", tuple(problems))
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
 
 
 class Table1Report(Value):
@@ -224,7 +210,7 @@ class Table1Report(Value):
     __slots__ = ("rows", "distinct_canonical")
 
     def __init__(self, rows: tuple[RowCheck, ...], distinct_canonical: bool):
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "distinct_canonical", distinct_canonical)
 
     @property
@@ -243,34 +229,33 @@ def verify_table1(rows: Iterable[Table1Row] = TABLE1) -> Table1Report:
     checks = []
     canonicals = []
     for row in rows:
-        problems = []
-        report = None
         try:
             g = parse_code(row.code)
         except GemError as exc:
-            checks.append(RowCheck(row.name, False, ("parse: %s" % exc,), None))
+            checks.append(RowCheck(row.name, ("parse: %s" % exc,)))
             continue
+        problems = []
         if g.order != 14:
             problems.append("order %d != 14" % g.order)
         if not is_connected(g):
             problems.append("not connected")
         if not problems:
-            report = invariant_report(g, name=row.name, code=row.code)
-            boundary = report["boundary"]
+            boundary = boundary_profile(g)
             if len(boundary) != row.boundary_count:
                 problems.append(
                     "%d boundary components, expected %d"
                     % (len(boundary), row.boundary_count)
                 )
-            if not all(s["orientable"] and s["euler"] == 0 for s in boundary):
+            if not boundary.all_torus:
                 problems.append("boundary contains a non-torus component")
             if row.link_complement:
-                h1 = report["h1"]
-                if h1["torsion"] or h1["rank"] != row.boundary_count:
+                h1 = first_homology(g)
+                if h1.torsion or h1.rank != row.boundary_count:
+                    record = {"rank": h1.rank, "torsion": list(h1.torsion)}
                     problems.append(
-                        "H1 is not free of rank %d: %r" % (row.boundary_count, h1)
+                        "H1 is not free of rank %d: %r" % (row.boundary_count, record)
                     )
             canonicals.append(canonical_code(g))
-        checks.append(RowCheck(row.name, not problems, tuple(problems), report))
+        checks.append(RowCheck(row.name, problems))
     distinct = len(canonicals) == len(set(canonicals))
-    return Table1Report(tuple(checks), distinct)
+    return Table1Report(checks, distinct)

@@ -174,8 +174,8 @@ class BicoloredCycle(Value):
     __slots__ = ("colors", "vertices")
 
     def __init__(self, colors: tuple[int, int], vertices: tuple[int, ...]):
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "colors", tuple(colors))
+        object.__setattr__(self, "vertices", tuple(vertices))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -193,7 +193,7 @@ class Residue(Value):
     def __init__(self, graph: ColoredGraph, missing_color: int, vertices: tuple[int, ...]):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "missing_color", missing_color)
-        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "vertices", tuple(vertices))
 
     @property
     def colors(self) -> tuple[int, int, int]:
@@ -334,7 +334,7 @@ def bicolored_cycles(g: ColoredGraph, colors: Iterable[int]) -> list[BicoloredCy
         raise ValueError("need two distinct colors from %r" % (COLORS,))
     # index() keeps refusing a float color such as 1.0, which equals 1
     cycles = _structure(g).cycles[COLOR_PAIRS.index(tuple(map(index, pair)))]
-    return [BicoloredCycle(tuple(pair), vs) for vs in cycles]
+    return [BicoloredCycle(pair, vs) for vs in cycles]
 
 
 def residues(g: ColoredGraph, missing_color: int) -> list[Residue]:
@@ -346,7 +346,7 @@ def residues(g: ColoredGraph, missing_color: int) -> list[Residue]:
     groups = [[] for _ in bipartite]
     for v, k in enumerate(comp):
         groups[k].append(v)
-    return [Residue(g, missing_color, tuple(vs)) for vs in groups]
+    return [Residue(g, missing_color, vs) for vs in groups]
 
 
 # ---------------------------------------------------------------------------

@@ -73,12 +73,9 @@ def snf_with_column_transform(mat: Sequence[Sequence[int]]):
     ``U``.  So ``x = V y`` converts solutions of the diagonal system back
     to the original variables (also modulo any n).
     """
-    A = [[index(x) for x in row] for row in mat]
+    A = _dense_rows(mat)
     nrows = len(A)
     ncols = len(A[0]) if nrows else 0
-    for row in A:
-        if len(row) != ncols:
-            raise ValueError("matrix rows have unequal lengths")
     V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     factors = []
     t = 0
@@ -168,9 +165,20 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], in
     nonsingular square matrix equals the absolute determinant.  The rows
     are checked, then eliminated as the module docstring describes.
     """
-    if any(len(r) != len(mat[0]) for r in mat):
+    return _sparse_snf([{j: x for j, x in enumerate(r) if x} for r in _dense_rows(mat)])
+
+
+def _dense_rows(mat: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The matrix's rows as new lists of integers read through ``index``;
+    the rows must have equal lengths."""
+    rows = []
+    for r in mat:
+        if isinstance(r, dict):
+            raise TypeError("a {column: entry} row goes to group_from_relations")
+        rows.append([index(x) for x in r])
+    if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("matrix rows have unequal lengths")
-    return _sparse_snf([{j: x for j, x in enumerate(map(index, r)) if x} for r in mat])
+    return rows
 
 
 def _sparse_snf(rows: list[dict[int, int]]) -> tuple[tuple[int, ...], int]:

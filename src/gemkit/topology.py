@@ -76,7 +76,7 @@ class BoundaryProfile(Value):
     __slots__ = ("components",)
 
     def __init__(self, components: tuple[SurfaceType, ...]):
-        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "components", tuple(components))
 
     @property
     def closed(self) -> bool:
@@ -144,7 +144,7 @@ def boundary_profile(g: ColoredGraph) -> BoundaryProfile:
         cycles = [cyc for pair, cyc in zip(COLOR_PAIRS, rec.cycles) if c not in pair]
         comps += [s for s in _surfaces(maps, cycles) if not s.is_sphere]
     comps.sort(key=lambda s: (not s.orientable, -s.euler))
-    return BoundaryProfile(tuple(comps))
+    return BoundaryProfile(comps)
 
 
 def is_closed(g: ColoredGraph) -> bool:

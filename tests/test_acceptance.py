@@ -30,6 +30,7 @@ from gemkit import (
     holonomy,
     identity_labeling,
     is_admissible,
+    is_closed,
     is_connected,
     minimality_probe,
     parse_code,
@@ -116,8 +117,12 @@ def test_criterion_3_covering_family(acceptance_log):
 def test_criterion_4_smallest_z2_entry(acceptance_log):
     start = time.perf_counter()
     target = HomologyGroup(0, (2,))
-    assert minimality_probe(6, closed=True, h1=target) is None
-    assert minimality_probe(8, closed=True, h1=target) == 8
+
+    def closed_z2(g):
+        return is_closed(g) and first_homology(g) == target
+
+    assert minimality_probe(6, closed_z2) is None
+    assert minimality_probe(8, closed_z2) == 8
     elapsed = time.perf_counter() - start
     assert elapsed < 600
     announce(acceptance_log, 4, "closed H1=Z/2 absent through order 6, present at 8", elapsed, 600)

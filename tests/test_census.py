@@ -19,7 +19,9 @@ from gemkit import (
     canonical_code,
     classify,
     enumerate_gems,
+    first_homology,
     is_bipartite,
+    is_closed,
     is_connected,
     minimality_probe,
     parse_code,
@@ -262,24 +264,45 @@ class TestWriteCensus:
             assert json.loads(payload) == classify(want)
 
 
+def closed_with_h1(h1):
+    return lambda g: is_closed(g) and first_homology(g) == h1
+
+
 class TestMinimalityProbe:
     def test_simplest_closed_case_is_order_two(self):
-        assert minimality_probe(6, closed=True, h1=HomologyGroup(0)) == 2
+        assert minimality_probe(6, closed_with_h1(HomologyGroup(0))) == 2
 
     def test_z2_first_appears_at_order_eight(self):
-        assert minimality_probe(6, closed=True, h1=HomologyGroup(0, (2,))) is None
-        assert minimality_probe(8, closed=True, h1=HomologyGroup(0, (2,))) == 8
+        assert minimality_probe(6, closed_with_h1(HomologyGroup(0, (2,)))) is None
+        assert minimality_probe(8, closed_with_h1(HomologyGroup(0, (2,)))) == 8
 
     def test_single_boundary_component_at_order_six(self):
-        assert minimality_probe(8, boundary_count=1) == 6
-        assert minimality_probe(8, boundary_count=2, all_torus=True) == 6
+        assert minimality_probe(8, lambda g: len(boundary_profile(g)) == 1) == 6
+
+        def two_tori(g):
+            profile = boundary_profile(g)
+            return len(profile) == 2 and profile.all_torus
+
+        assert minimality_probe(8, two_tori) == 6
 
     def test_cap_enforced(self):
-        with pytest.raises(CapExceededError):
-            minimality_probe(ENUMERATION_CAP + 2, closed=True)
+        calls = []
+        with pytest.raises(CapExceededError, match="order %d exceeds" % (ENUMERATION_CAP + 2)):
+            minimality_probe(ENUMERATION_CAP + 2, calls.append)
+        assert calls == []
+
+    def test_stops_at_its_first_match(self):
+        results = []
+
+        def spy(g):
+            results.append(len(boundary_profile(g)) == 1)
+            return results[-1]
+
+        assert minimality_probe(10, spy) == 6
+        assert results.count(True) == 1 and results[-1]
 
     def test_no_non_torus_boundary_up_to_order_eight(self):
-        assert minimality_probe(8, all_torus=False) is None
+        assert minimality_probe(8, lambda g: not boundary_profile(g).all_torus) is None
         for order in range(2, 9, 2):
             for code in enumerate_gems(order):
                 assert boundary_profile(parse_code(code)).all_torus
@@ -293,7 +316,7 @@ class TestVerifyTable1:
         assert report.ok
         for check in report.rows:
             assert check.ok, "%s: %s" % (check.name, check.problems)
-            assert check.report is not None
+            assert check.problems == ()
 
     def test_unparseable_row_reported(self):
         report = verify_table1([Table1Row("bad", "AB", 1, None, True)])

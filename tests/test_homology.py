@@ -92,6 +92,12 @@ class TestSmithNormalFormExamples:
         with pytest.raises(ValueError):
             smith_normal_form([[1, 2], [3]])
 
+    def test_dict_row_rejected(self):
+        # read as a sequence, {0: 5} would be its keys: the row (0,)
+        with pytest.raises(TypeError, match="group_from_relations"):
+            smith_normal_form([{0: 5}])
+        assert group_from_relations(1, [{0: 5}]) == HomologyGroup(0, (5,))
+
     def test_wide_and_tall(self):
         assert smith_normal_form([[2, 4, 6]]) == ((2,), 1)
         assert smith_normal_form([[2], [4], [6]]) == ((2,), 1)
@@ -141,9 +147,14 @@ class TestColumnTransform:
             snf_with_column_transform([[2.5]])
 
     def test_ragged_rejected(self):
-        # smith_normal_form checks first, so only a direct call reaches this
         with pytest.raises(ValueError):
             snf_with_column_transform([[1, 2], [3]])
+
+    def test_dict_row_rejected(self):
+        with pytest.raises(TypeError, match="group_from_relations"):
+            snf_with_column_transform([{0: 5}])
+        with pytest.raises(TypeError, match="group_from_relations"):
+            snf_with_column_transform([[5], {0: 5}])
 
     def test_transform_properties(self):
         rng = random.Random(107)

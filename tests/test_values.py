@@ -25,7 +25,7 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 GRAPH = parse_code("AAA")
 TORUS = SurfaceType(True, 0)
-ROW = RowCheck("14^2_1", True, (), None)
+ROW = RowCheck("14^2_1", ())
 
 # (make, the same value built again, a value differing in one field, its repr)
 CASES = {
@@ -61,14 +61,14 @@ CASES = {
         "ComplexityBounds(lower=10, upper=12)",
     ),
     "RowCheck": (
-        lambda: RowCheck("14^2_1", False, ("not connected",), None),
-        lambda: RowCheck("14^2_1", True, ("not connected",), None),
-        "RowCheck(name='14^2_1', ok=False, problems=('not connected',), report=None)",
+        lambda: RowCheck("14^2_1", ("not connected",)),
+        lambda: RowCheck("14^2_1", ()),
+        "RowCheck(name='14^2_1', problems=('not connected',))",
     ),
     "Table1Report": (
         lambda: Table1Report((ROW,), True),
         lambda: Table1Report((ROW,), False),
-        "Table1Report(rows=(RowCheck(name='14^2_1', ok=True, problems=(), report=None),),"
+        "Table1Report(rows=(RowCheck(name='14^2_1', problems=()),),"
         " distinct_canonical=True)",
     ),
 }
@@ -83,8 +83,19 @@ FIELDS = {
     "BoundaryProfile": ("components",),
     "HomologyGroup": ("rank", "torsion"),
     "ComplexityBounds": ("lower", "upper"),
-    "RowCheck": ("name", "ok", "problems", "report"),
+    "RowCheck": ("name", "problems"),
     "Table1Report": ("rows", "distinct_canonical"),
+}
+
+
+# each value class with a sequence field, built from lists: it stores
+# tuples, so it equals and hashes like the tuple-built value of CASES
+FROM_LISTS = {
+    "BicoloredCycle": lambda: BicoloredCycle([0, 1], [0, 1]),
+    "Residue": lambda: Residue(GRAPH, 3, [0, 1]),
+    "BoundaryProfile": lambda: BoundaryProfile([TORUS, TORUS]),
+    "RowCheck": lambda: RowCheck("14^2_1", ["not connected"]),
+    "Table1Report": lambda: Table1Report([ROW], True),
 }
 
 
@@ -110,6 +121,13 @@ def test_another_field_or_class_is_unequal(name):
     for other_name in NAMES:
         if other_name != name:
             assert a != CASES[other_name][0]()
+
+
+@pytest.mark.parametrize("name", sorted(FROM_LISTS))
+def test_sequence_fields_given_as_lists_are_stored_as_tuples(name):
+    a, b = FROM_LISTS[name](), CASES[name][0]()
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert not any(isinstance(getattr(a, f), list) for f in FIELDS[name])
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -156,6 +174,9 @@ def test_constructors_keep_their_checks_and_defaults():
         SurfaceType(True, 1)
     with pytest.raises(ValueError, match="> 2"):
         SurfaceType(False, 3)
+    # a row passes exactly when it has no problems
+    assert RowCheck("14^2_1", ()).ok
+    assert not RowCheck("14^2_1", ("not connected",)).ok
 
 
 def test_cli_start_up_imports_no_class_machinery():
