@@ -9,19 +9,12 @@ an attribute, and a ``__reduce__`` that rebuilds an object through its
 constructor, so that ``pickle``, ``copy`` and ``deepcopy`` work.
 """
 
-from operator import attrgetter
-
 
 class Value:
     __slots__ = ()
 
-    def __init_subclass__(cls):
-        # the field tuple, read by one attrgetter: as fast as (self.a, self.b)
-        get = attrgetter(*cls.__slots__)
-        if len(cls.__slots__) == 1:
-            cls._field_values = lambda self: (get(self),)
-        else:
-            cls._field_values = lambda self: get(self)
+    def _field_values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -83,27 +83,17 @@ def _canon_record(record):
 # ---------------------------------------------------------------------------
 
 
-def _run_records(path: str, fn, err) -> int:
-    """Print ``fn(record)`` for each record of ``path`` as it is computed:
-    the line goes to stdout when ``ok``, otherwise to ``err``."""
+def _run_records(args) -> int:
+    """Print ``args.record(record)`` for each record of ``args.file`` as it is
+    computed: the line goes to stdout when ``ok``, otherwise to the ``sys``
+    stream named ``args.failures``, looked up here so a redirection holds."""
     failed = False
-    for record in read_records(path):
-        ok, line = fn(record)
+    err = getattr(sys, args.failures)
+    for record in read_records(args.file):
+        ok, line = args.record(record)
         print(line, file=sys.stdout if ok else err)
         failed = failed or not ok
     return CHECK_FAILED if failed else 0
-
-
-def _cmd_validate(args) -> int:
-    return _run_records(args.file, _validate_record, sys.stdout)
-
-
-def _cmd_invariants(args) -> int:
-    return _run_records(args.file, _invariants_record, sys.stderr)
-
-
-def _cmd_canon(args) -> int:
-    return _run_records(args.file, _canon_record, sys.stderr)
 
 
 def _cmd_cover(args) -> int:
@@ -175,17 +165,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check every code in a file parses")
-    p.add_argument("file", help="code file, or - for stdin")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("invariants", help="print one invariant JSON record per code")
-    p.add_argument("file", help="code file, or - for stdin")
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("canon", help="print the canonical code of every input code")
-    p.add_argument("file", help="code file, or - for stdin")
-    p.set_defaults(func=_cmd_canon)
+    # the record subcommands: (name, per-record function, stream for failures, help)
+    for name, record, failures, summary in (
+        ("validate", _validate_record, "stdout", "check every code in a file parses"),
+        ("invariants", _invariants_record, "stderr", "print one invariant JSON record per code"),
+        ("canon", _canon_record, "stderr", "print the canonical code of every input code"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("file", help="code file, or - for stdin")
+        p.set_defaults(func=_run_records, record=record, failures=failures)
 
     p = sub.add_parser("cover", help="solve for admissible cyclic coverings")
     p.add_argument("--code", required=True, help="base graph code")

@@ -35,6 +35,8 @@ class SurfaceType(Value):
     __slots__ = ("orientable", "euler")
 
     def __init__(self, orientable: bool, euler: int):
+        if orientable is not True and orientable is not False:
+            raise TypeError("orientable must be True or False, not %r" % (orientable,))
         euler = index(euler)
         if euler > 2:
             raise ValueError("no closed surface has Euler characteristic > 2")

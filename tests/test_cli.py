@@ -1,5 +1,6 @@
 """Command line interface: subcommands, formats, exit codes, start-up cost."""
 
+import argparse
 import io
 import json
 import os
@@ -133,7 +134,7 @@ class TestValidate:
         f = tmp_path / "mixed.txt"
         f.write_text("good\tAAA\nbad\tAB\n", encoding="utf-8")
         rc, out, err = run(capsys, ["validate", str(f)])
-        assert rc == 1
+        assert rc == 1 and err == ""
         lines = out.splitlines()
         assert lines[0].startswith("OK\tgood")
         assert lines[1].startswith("ERROR\tbad\tAB\tBadLengthError")
@@ -464,6 +465,48 @@ class TestTable1:
             "H1 is not free of rank 3: {'rank': 2, 'torsion': []}\n"
             "canonical codes distinct: yes\n" % bad.name
         )
+
+
+#: Every subcommand with its help string, in the order ``gemkit --help`` lists them.
+SUBCOMMANDS = (
+    ("validate", "check every code in a file parses"),
+    ("invariants", "print one invariant JSON record per code"),
+    ("canon", "print the canonical code of every input code"),
+    ("cover", "solve for admissible cyclic coverings"),
+    ("census", "enumerate one order up to isomorphism"),
+    ("table1", "verify the bundled order-14 table"),
+)
+
+
+class TestParser:
+    def test_help_lists_subcommands_in_order(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        # whitespace collapsed: argparse may wrap and indent differently
+        text = " ".join(capsys.readouterr().out.split())
+        assert "{%s}" % ",".join(name for name, _ in SUBCOMMANDS) in text
+        at = [text.index("%s %s" % pair) for pair in SUBCOMMANDS]
+        assert at == sorted(at)
+
+    @pytest.mark.parametrize("name", ["validate", "invariants", "canon"])
+    def test_record_subcommand_usage(self, name):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sub.choices[name].format_usage() == "usage: gemkit %s [-h] file\n" % name
+
+    def test_record_function_is_read_when_the_parser_is_built(self, capsys, monkeypatch):
+        # a tracer rebinds the module's record functions before calling main
+        seen = []
+
+        def traced(record):
+            seen.append(record)
+            return cli._validate_record(record)
+
+        monkeypatch.setattr(cli, "_canon_record", traced)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("AAA\n"))
+        rc, out, _ = run(capsys, ["canon", "-"])
+        assert rc == 0 and out == "OK\t-\tAAA\n" and seen == [(None, "AAA")]
 
 
 class TestEntryPoints:

@@ -174,6 +174,10 @@ def test_constructors_keep_their_checks_and_defaults():
         SurfaceType(True, 1)
     with pytest.raises(ValueError, match="> 2"):
         SurfaceType(False, 3)
+    # a truthy "no" would make a torus; 1 would print as orientable=1
+    for orientable in ("no", 1, 0, None):
+        with pytest.raises(TypeError, match="True or False"):
+            SurfaceType(orientable, 0)
     # a row passes exactly when it has no problems
     assert RowCheck("14^2_1", ()).ok
     assert not RowCheck("14^2_1", ("not connected",)).ok
