@@ -196,6 +196,8 @@ class RowCheck(Value):
     __slots__ = ("name", "problems")
 
     def __init__(self, name: str, problems: tuple[str, ...]):
+        if isinstance(problems, str):
+            raise TypeError("problems must be a sequence of strings, not one string")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "problems", tuple(problems))
 

@@ -78,7 +78,13 @@ class BoundaryProfile(Value):
     __slots__ = ("components",)
 
     def __init__(self, components: tuple[SurfaceType, ...]):
-        object.__setattr__(self, "components", tuple(components))
+        components = tuple(components)
+        for s in components:
+            if not isinstance(s, SurfaceType):
+                raise TypeError("a boundary component must be a SurfaceType, not %r" % (s,))
+            if s.is_sphere:
+                raise ValueError("a sphere link is not a boundary component")
+        object.__setattr__(self, "components", components)
 
     @property
     def closed(self) -> bool:

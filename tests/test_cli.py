@@ -373,33 +373,6 @@ class TestCensus:
             payload = json.loads(ln.split("\t", 1)[1])
             assert payload["order"] == 4
 
-    def test_out_file_matches_stdout(self, capsys, tmp_path):
-        rc, out, _ = run(capsys, ["census", "--order", "6"])
-        assert rc == 0
-        target = tmp_path / "census6.txt"
-        rc, silent, _ = run(capsys, ["census", "--order", "6", "--out", str(target)])
-        assert rc == 0 and silent == ""
-        assert target.read_text(encoding="utf-8") == out
-
-    def test_unwritable_out_fails_before_the_search(self, capsys, tmp_path, monkeypatch):
-        import gemkit.census as census_mod
-
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("census built before --out was opened")
-
-        monkeypatch.setattr(census_mod, "build_census", must_not_run)
-        target = tmp_path / "missing-dir" / "census.txt"
-        rc, out, err = run(capsys, ["census", "--order", "6", "--out", str(target)])
-        assert rc == 2 and out == "" and "missing-dir" in err
-        assert not target.exists()
-
-    def test_odd_order_leaves_out_file_untouched(self, capsys, tmp_path):
-        target = tmp_path / "census.txt"
-        target.write_text("keep\n", encoding="utf-8")
-        rc, _, err = run(capsys, ["census", "--order", "5", "--out", str(target)])
-        assert rc == 2 and "even" in err
-        assert target.read_text(encoding="utf-8") == "keep\n"
-
     def test_classifies_each_written_line_once(self, capsys, monkeypatch):
         import gemkit.census as census_mod
 
@@ -429,6 +402,21 @@ class TestCensus:
         assert captured.out == ""
         assert "unrecognized arguments: --max-results 1" in captured.err
 
+    def test_out_is_gone(self, capsys, tmp_path):
+        # the census goes to stdout; a file of it is `gemkit census ... > FILE`
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--help"])
+        assert exc.value.code == 0
+        assert "--out" not in capsys.readouterr().out
+        target = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--order", "6", "--out", str(target)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --out" in captured.err
+        assert not target.exists()
+
     def test_large_order_needs_opt_in(self, capsys):
         rc, out, err = run(capsys, ["census", "--order", "12"])
         assert rc == 2 and out == "" and "--allow-large" in err
@@ -438,8 +426,10 @@ class TestCensus:
         assert rc == 2 and "cap" in err
 
     def test_odd_order_rejected(self, capsys):
-        rc, _, err = run(capsys, ["census", "--order", "5"])
-        assert rc == 2 and err
+        # build_census refuses the order before write_census writes the header
+        for order in ("5", "0", "-2"):
+            rc, out, err = run(capsys, ["census", "--order", order])
+            assert (rc, out, err) == (2, "", "order must be a positive even integer\n")
 
 
 class TestTable1:

@@ -31,10 +31,3 @@ def test_error_output_is_byte_identical(capsys, tmp_path, case):
         case["stdout"],
         case["stderr"],
     )
-
-
-def test_refused_order_creates_no_out_file(capsys, tmp_path):
-    target = tmp_path / "census.txt"
-    assert main(["census", "--order", "7", "--out", str(target)]) == 2
-    assert capsys.readouterr().err == "order must be a positive even integer\n"
-    assert not target.exists()

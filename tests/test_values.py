@@ -178,9 +178,18 @@ def test_constructors_keep_their_checks_and_defaults():
     for orientable in ("no", 1, 0, None):
         with pytest.raises(TypeError, match="True or False"):
             SurfaceType(orientable, 0)
+    # a profile holds the non-sphere links only
+    with pytest.raises(ValueError, match="sphere"):
+        BoundaryProfile((TORUS, SurfaceType(True, 2)))
+    for component in ("x", None, (True, 0)):
+        with pytest.raises(TypeError, match="SurfaceType"):
+            BoundaryProfile((component,))
     # a row passes exactly when it has no problems
     assert RowCheck("14^2_1", ()).ok
     assert not RowCheck("14^2_1", ("not connected",)).ok
+    # one string is not split into one problem per character
+    with pytest.raises(TypeError, match="one string"):
+        RowCheck("14^2_1", "bad")
 
 
 def test_cli_start_up_imports_no_class_machinery():
