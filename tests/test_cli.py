@@ -373,6 +373,22 @@ class TestCensus:
             payload = json.loads(ln.split("\t", 1)[1])
             assert payload["order"] == 4
 
+    def test_out_file_matches_stdout(self, capsys, tmp_path):
+        # `gemkit census ... > FILE` holds exactly the bytes written to stdout
+        import subprocess
+
+        rc, out, _ = run(capsys, ["census", "--order", "6"])
+        assert rc == 0
+        target = tmp_path / "census6.txt"
+        with open(target, "wb") as fh:
+            subprocess.run(
+                [sys.executable, "-m", "gemkit", "census", "--order", "6"],
+                stdout=fh,
+                env=SUBPROCESS_ENV,
+                check=True,
+            )
+        assert target.read_bytes() == out.encode("utf-8")
+
     def test_classifies_each_written_line_once(self, capsys, monkeypatch):
         import gemkit.census as census_mod
 
