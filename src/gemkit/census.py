@@ -22,6 +22,12 @@ vertex 0's color-1 partner is not its color-0 partner (the code starts with
 2), the search never joins a vertex to one it already meets.  Only leaves
 that would be rejected are lost; at order 10 that is 55,484 of 68,641.
 
+Forced row: when row p-1 starts, each of colors 1-3 has one open positive
+slot left, so the row is filled in one step (the double-edge rule then asks
+that its three partners and ``p+i`` all differ) and the leaf tested there.
+Generator frames fall from 40,617 to 17,103 at order 10 and from 1,266,419
+to 529,566 at order 12.
+
 Trusted leaf: the leaf's maps are involutions by construction, so a snapshot
 of them is wrapped without the constructor's re-validation; a test checks
 each leaf against the validated build.
@@ -75,17 +81,25 @@ def enumerate_gems(order: int) -> Iterator[str]:
         raise ValueError("order must be a positive even integer")
     p = order // 2
     maps = [list(range(p, order)) + list(range(p))] + [[-1] * order for _ in range(3)]
+    m1, m2, m3 = maps[1:]
 
     def extend(t: int, maxseen: int) -> Iterator[str]:
-        if t == 3 * p:
+        i, c = divmod(t, 3)
+        if c == 0 and maxseen < i + 1:
+            return  # pair i+1 was never discovered: the graph is disconnected
+        if i == p - 1:
+            # the forced row: each color has one open positive slot left
+            w1, w2, w3 = m1.index(-1, p), m2.index(-1, p), m3.index(-1, p)
+            if m1[0] > p and len({p + i, w1, w2, w3}) < 4:
+                return  # the code starts with 2: no double edge at i
+            m1[i], m1[w1], m2[i], m2[w2], m3[i], m3[w3] = w1, i, w2, i, w3, i
             ceiling = [w - p + 1 for m in maps[1:] for w in m[:p]]
             g = ColoredGraph._trusted(tuple(map(tuple, maps)))
-            if not beats_entries(g, ceiling):
+            kept = not beats_entries(g, ceiling)
+            m1[i] = m1[w1] = m2[i] = m2[w2] = m3[i] = m3[w3] = -1
+            if kept:
                 yield _serialize_entries(ceiling)
             return
-        i, c = divmod(t, 3)
-        if c == 0 and i and maxseen < i + 1:
-            return  # pair i+1 was never discovered: the graph is disconnected
         if c == 0 and 1 < i < p - 1 and maps[1][0] == p and maps[1][1] > p + 1:
             if _prefix_beaten(maps, maps[1][1] - p + 1):
                 return

@@ -30,14 +30,15 @@ CHECK_FAILED = 1
 
 
 def read_records(path: str) -> Iterator[tuple[Optional[str], str]]:
-    """Parse a code file into (name, code) records, one line at a time."""
+    """Parse a code file into (name, code) records, one line at a time; the
+    name is None when the line has none."""
     with nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
         # iteration splits at newlines only; str.splitlines also at \x0c, \x85, \u2028...
         for text in fh:
             for line in text.splitlines():
                 if line.strip() and not line.startswith("#"):
                     name, tab, code = line.partition("\t")
-                    yield (name, code) if tab else (None, line)
+                    yield (name or None, code) if tab else (None, line)
 
 
 def _json_line(obj) -> str:

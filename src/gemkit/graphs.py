@@ -466,25 +466,44 @@ def emit_code(g: ColoredGraph, labels: Sequence[int]) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: The 12 ordered color pairs ``(a, b)``, in ``permutations(COLORS, 2)`` order,
+#: each followed by its two complementary colors ``(c, d)``, c < d.
+_PAIR_COMPLEMENTS = tuple(
+    (a, b, *(c for c in COLORS if c != a and c != b)) for a, b in permutations(COLORS, 2)
+)
+
+
 def _tries(g: ColoredGraph, ceiling: list[int]):
     """Yield ``(inv0, inv1, inv2, inv3, s)``: each color permutation's maps, in
     ``permutations(COLORS)`` order, with each start the kernel's rules keep;
-    the first kept try (a census leaf's own traversal, a tie) comes last."""
+    the first kept try (a census leaf's own traversal, a tie) comes last.
+
+    The head flags are read once: a ceiling's head class (starting with 1,
+    with ``[2, 1]``, or neither) cannot change as the ceiling drops.  A
+    first-winner search never lowers it, and a full search starts from the
+    head of the least list (:func:`canonical_entries`), which every lower
+    list shares.  (From any other ceiling, flags read at the start keep
+    more starts, never fewer.)  Entries 1 and 2 are read as they stand."""
     p, own = g.order // 2, []
     inv = g.inv
     starts = range(0, 2 * p, g._deck)
-    for a, b in permutations(COLORS, 2):
+    # a slice, as a ceiling of one entry (order 2) has no entry 1
+    double, four = ceiling[0] == 1, ceiling[:2] == [2, 1]
+    cut_double = double and p > 1
+    for a, b, c, d in _PAIR_COMPLEMENTS:
         inv0, inv1 = inv[a], inv[b]
-        double, four, tried = ceiling[0] == 1, ceiling[:2] == [2, 1], starts
         if double:
             tried = [s for s in starts if inv0[s] == inv1[s]]
         elif four:
             tried = [s for s in starts if inv1[inv0[inv1[s]]] == inv0[s]]
-        c, d = (c for c in COLORS if c != a and c != b)
+        else:
+            tried = starts
+        if not tried:
+            continue
         for inv2, inv3 in ((inv[c], inv[d]), (inv[d], inv[c])):
             for s in tried:
                 one, two, three = inv0[s], inv2[s], inv3[s]
-                if double and p > 1:
+                if cut_double:
                     y = two if two != one else three  # +2
                     x = inv1[inv0[y]]
                     e = 2 if x == y else 3 if x == three else len({one, two, three}) + 1
@@ -510,7 +529,8 @@ def _least_traversal(g: ColoredGraph, ceiling: list[int], first: bool):
     ceiling (with ``first`` it is returned at once, unfinished).
 
     Tries follow :func:`_tries`, the first kept one last.  Starts that cannot
-    win are skipped, by the deck hint and the ceiling as it stands then:
+    win are skipped, by the deck hint and the ceiling (its head as the call
+    starts, its entries 1 and 2 as they stand at the try):
 
     - off fiber 0 of a derived graph (the deck map is an automorphism);
     - below ``[1, ...]`` a list starts with 1: sigma0 and sigma1 must join s
@@ -526,7 +546,8 @@ def _least_traversal(g: ColoredGraph, ceiling: list[int], first: bool):
     """
     p = g.order // 2
     best = None
-    ceiling = list(ceiling)  # lowered in place: _tries reads it as it drops
+    if not first:
+        ceiling = list(ceiling)  # lowered in place: _tries reads it as it drops
     for inv0, inv1, inv2, inv3, start in _tries(g, ceiling):
         pos_label = [0] * (2 * p)
         pos_label[inv0[start]] = 1

@@ -43,6 +43,7 @@ from helpers import (
     TABLE_CODES,
     all_traversals,
     full_traversal,
+    kernel_tries,
     random_bipartite_graph,
     random_vertex_permutation,
     reference_canonical_entries,
@@ -583,6 +584,32 @@ def test_tries_keep_what_the_rules_state():
             for rule in RULES:
                 dropped[rule] += len(stated_tries(g, ceiling, lists, rule)) - len(stated)
     assert min(dropped.values()) > 100, dropped
+
+
+def test_short_ceilings_read_no_entry_past_their_end():
+    # the head flags are read once a call, by slices: at order 2 a ceiling
+    # of one entry has no entry 1, and [2, 1] no entry 2
+    aaa, abbaba = parse_code("AAA"), parse_code("ABBABA")
+    ceilings = ([2], [1], [2, 1], [0], [])
+    assert [beats_entries(aaa, c) for c in ceilings] == [True, False, True, False, False]
+    ceilings = ([2], [2, 1], [1], [1, 2])
+    assert [beats_entries(abbaba, c) for c in ceilings] == [True, True, False, False]
+
+
+def test_full_search_try_totals():
+    # every try of canonical_code, counted in full-search mode, where the
+    # census leaf pins, all first-winner calls, do not look
+    table = [parse_code(code) for code in TABLE_CODES]
+    covers = [
+        derived_graph(va)[0]
+        for code in COVERING_BASE_CODES
+        for va in find_admissible_cyclic_coverings(parse_code(code), 3, limit=None)
+    ]
+    for graphs, want in ((table, (34, 628)), (covers, (402, 15902))):
+        with kernel_tries() as calls:
+            for g in graphs:
+                canonical_code(g)
+        assert (len(calls), sum(map(len, calls))) == want
 
 
 # ---------------------------------------------------------------------------

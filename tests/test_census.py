@@ -10,10 +10,12 @@ import pytest
 import gemkit.census as census_mod
 import helpers
 from gemkit import (
+    COLOR_PAIRS,
     CapExceededError,
     ColoredGraph,
     HomologyGroup,
     TABLE1,
+    bicolored_cycles,
     boundary_profile,
     build_census,
     canonical_code,
@@ -207,6 +209,21 @@ class TestEnumerate:
         codes, _ = census_leaves(order)
         assert seen == {code for code in codes if code.startswith("B")}
         assert len(seen) == expected
+
+    @pytest.mark.parametrize(
+        "order, expected", [(2, 0), (4, 0), (6, 0), (8, 4), (10, 56)]
+    )
+    def test_leaves_starting_with_two_have_no_double_edge(
+        self, census_leaves, order, expected
+    ):
+        # the double-edge rule, which the forced last row applies too
+        _, leaves = census_leaves(order)
+        twos = [g for g, ceiling in leaves if ceiling[0] == 2]
+        for g in twos:
+            assert all(
+                len(cycle) > 2 for pair in COLOR_PAIRS for cycle in bicolored_cycles(g, pair)
+            ), g.inv
+        assert len(twos) == expected
 
 
 class TestBuildCensus:

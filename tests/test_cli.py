@@ -64,6 +64,10 @@ class TestReadRecords:
         monkeypatch.setattr(sys, "stdin", io.StringIO("AAA\n"))
         assert list(read_records("-")) == [(None, "AAA")]
 
+    def test_empty_name_prefix_is_no_name(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\tAAA\nx\tAAA\n"))
+        assert list(read_records("-")) == [(None, "AAA"), ("x", "AAA")]
+
     def test_streams_one_record_at_a_time(self, tmp_path):
         f = tmp_path / "codes.txt"
         f.write_text("AAA\nBAABBA\n", encoding="utf-8")
@@ -144,6 +148,11 @@ class TestValidate:
         rc, out, _ = run(capsys, ["validate", "-"])
         assert rc == 0 and out == "OK\t-\tAAA\n"
 
+    def test_empty_name_prefix_prints_as_no_name(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\tAAA\n"))
+        rc, out, err = run(capsys, ["validate", "-"])
+        assert (rc, out, err) == (0, "OK\t-\tAAA\n", "")
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         rc, _, err = run(capsys, ["validate", str(tmp_path / "absent.txt")])
         assert rc == 2 and err
@@ -184,6 +193,22 @@ class TestInvariants:
             "six_regular": False,
         }
 
+    def test_empty_name_prefix_is_null(self, capsys, monkeypatch):
+        # as validate prints "-" and canon the bare code for the same line
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\tAAA\n"))
+        rc, out, err = run(capsys, ["invariants", "-"])
+        assert rc == 0 and err == ""
+        rec = json.loads(out)
+        assert rec["name"] is None and rec["code"] == "AAA"
+        assert out.startswith('{"name":null,')
+
+    @pytest.mark.parametrize("command", ["invariants", "canon"])
+    def test_empty_name_prefix_failure_names_the_code(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\tAB\n"))
+        rc, out, err = run(capsys, [command, "-"])
+        assert (rc, out) == (1, "")
+        assert err == "AB: BadLengthError: code has 2 entries, not divisible by 3\n"
+
     @pytest.mark.parametrize("command", ["invariants", "canon"])
     def test_bad_codes_go_to_stderr(self, capsys, monkeypatch, command):
         monkeypatch.setattr(sys, "stdin", io.StringIO("AAA\nAB\n"))
@@ -213,6 +238,11 @@ class TestCanon:
         lines = out.splitlines()
         assert lines[0] == "s3\tAAA"
         assert "\t" not in lines[1]
+
+    def test_empty_name_prefix_prints_the_bare_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\tBAABBA\n"))
+        rc, out, err = run(capsys, ["canon", "-"])
+        assert (rc, out, err) == (0, "ABBABA\n", "")
 
     def test_canonical_is_idempotent_through_cli(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(BASE1 + "\n"))
